@@ -15,8 +15,8 @@ use ebbiot_telemetry::{Histogram, Registry};
 use crate::{ebbiot_config_for, JsonReport};
 
 /// Column headers of [`worker_rows`].
-pub const WORKER_HEADER: [&str; 8] =
-    ["Worker", "Busy ms", "Acquire ms", "Idle ms", "Queue-wait ms", "Busy %", "Chunks", "Steals"];
+pub const WORKER_HEADER: [&str; 7] =
+    ["Worker", "Busy ms", "Acquire ms", "Idle ms", "Queue-wait ms", "Busy %", "Chunks"];
 
 /// Column headers of [`stage_rows`].
 pub const STAGE_HEADER: [&str; 5] = ["Stage", "Calls", "Total ms", "Mean µs", "Max ≤ µs"];
@@ -78,8 +78,7 @@ fn ms(ns: u64) -> String {
 /// Headers in [`WORKER_HEADER`]. After `join`,
 /// Busy + Acquire + Idle == wall exactly; a low busy share with high
 /// queue waits is the contention signature of an over-subscribed core,
-/// while a high acquire share means batching is too fine
-/// (`EngineConfig::batch_chunks`).
+/// while a high acquire share means streams change hands too often.
 #[must_use]
 pub fn worker_rows(snapshot: &Snapshot) -> Vec<Vec<String>> {
     snapshot
@@ -96,7 +95,6 @@ pub fn worker_rows(snapshot: &Snapshot) -> Vec<Vec<String>> {
                 ms(w.queue_wait_ns),
                 format!("{busy_pct:.1}"),
                 w.chunks.to_string(),
-                w.steals.to_string(),
             ]
         })
         .collect()
@@ -130,7 +128,7 @@ pub fn histogram_summary(hist: &Histogram, unit: &str) -> String {
 }
 
 /// Appends the contention breakdown to a `BENCH_*.json` report as flat
-/// keys: per-worker busy/acquire/idle/queue-wait and steals, per-stream
+/// keys: per-worker busy/acquire/idle/queue-wait and chunks, per-stream
 /// queue high-water, wait totals and migrations, scheduler steal/batch
 /// statistics, per-stage means, and the chunk-latency / queue-depth
 /// / collector-occupancy distributions' count+mean.
@@ -148,8 +146,7 @@ pub fn append_contention_fields(
             .u64(&key("acquire_ns"), w.acquire_ns)
             .u64(&key("idle_ns"), w.idle_ns)
             .u64(&key("queue_wait_ns"), w.queue_wait_ns)
-            .u64(&key("chunks"), w.chunks)
-            .u64(&key("steals"), w.steals);
+            .u64(&key("chunks"), w.chunks);
     }
     for s in &snapshot.streams {
         let key = |suffix: &str| format!("{}_{suffix}", s.id);
@@ -219,7 +216,7 @@ mod tests {
         .render();
         assert!(json.contains("\"worker00_busy_ns\""));
         assert!(json.contains("\"worker00_acquire_ns\""));
-        assert!(json.contains("\"worker01_steals\""));
+        assert!(json.contains("\"worker01_chunks\""));
         assert!(json.contains("\"cam00_queue_high_water\""));
         assert!(json.contains("\"cam01_queue_wait_ns\""));
         assert!(json.contains("\"cam00_migrations\""));

@@ -1,34 +1,43 @@
-//! The multi-stream engine: router, batched work-stealing scheduler and
-//! output collector.
+//! The multi-stream engine: router, ready-FIFO scheduler and output
+//! collector.
 //!
 //! Scheduling granularity is the *stream*, not the chunk: a stream with
-//! queued work is a schedulable unit that exactly one worker owns at a
-//! time. A worker acquiring a stream drains a **batch** of queued jobs
-//! in one go (amortizing the wake/hand-off cost that used to dominate
-//! per-chunk dispatch) and a stream may migrate to whichever worker is
-//! free next — a global injector plus per-worker deques with stealing
-//! replaces the old `stream % workers` pinning that load-imbalanced
-//! heterogeneous cameras. Determinism is structural and survives any
-//! steal schedule: jobs sit in one FIFO queue per stream, ownership is
-//! exclusive, and results land in the stream's own ordered buffer.
+//! queued work sits in one engine-wide ready FIFO, and exactly one
+//! worker owns it at a time. A worker acquiring a stream drains a
+//! **batch** of queued jobs in one go and, if more arrived meanwhile,
+//! puts the stream back at the tail of the FIFO — so streams migrate to
+//! whichever worker is free and heterogeneous cameras balance across
+//! the pool. Each stream keeps all of its state (bounded job queue,
+//! counters, results, parked pipeline) under one mutex, and its bounded
+//! job queue *is* the back-pressure. Determinism is structural and
+//! survives any schedule: jobs sit in one FIFO queue per stream,
+//! ownership is exclusive, and results land in the stream's own ordered
+//! buffer.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ebbiot_core::{BoxedTracker, FrameResult, Pipeline, Tracker};
+use ebbiot_core::{BoxedTracker, FrameResult, Pipeline, SessionState, Tracker};
 use ebbiot_events::{Event, Micros};
 use ebbiot_telemetry::{Gauge, Registry};
 
-use crate::backpressure::ChunkGate;
 use crate::telemetry::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};
 
+/// Maximum queued jobs a worker drains per stream acquisition: enough
+/// to amortize the hand-off, while the queue capacity bounds latency.
+const BATCH_CHUNKS: usize = 16;
+
 /// Recovers a mutex guard regardless of std poisoning; the engine's own
-/// poison flag (on the gates) governs producer liveness.
+/// `failed` flag governs producer liveness.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `condvar`, recovering the guard like [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Identifies one camera stream; streams are numbered in the order they
@@ -52,22 +61,18 @@ pub struct EngineConfig {
     /// so heterogeneous cameras balance across the pool.
     pub workers: usize,
     /// Per-stream bound on chunks in flight (queued + processing); the
-    /// router blocks or rejects producers beyond it.
+    /// router blocks producers beyond it. Must be at least 1.
     pub queue_capacity: usize,
-    /// Maximum queued jobs a worker drains per stream acquisition
-    /// (clamped to at least 1). Larger batches amortize scheduler
-    /// hand-off cost; the queue capacity still bounds latency.
-    pub batch_chunks: usize,
     /// Test-only scheduling perturbation: a seed that makes workers
-    /// randomly yield, micro-sleep and skip their local deque (forcing
-    /// steals and migrations). Output is bit-identical regardless —
-    /// the determinism proptests drive this. `None` (the default)
-    /// costs nothing.
+    /// randomly yield, micro-sleep and cut a batch to one job (so
+    /// streams change hands). Output is bit-identical regardless — the
+    /// determinism proptests drive this. `None` (the default) costs
+    /// nothing.
     pub schedule_jitter: Option<u64>,
 }
 
 impl EngineConfig {
-    /// `workers` threads with the default queue capacity and batching.
+    /// `workers` threads with the default queue capacity.
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         Self { workers, ..Self::default() }
@@ -77,15 +82,9 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self { workers, queue_capacity: 32, batch_chunks: 16, schedule_jitter: None }
+        Self { workers, queue_capacity: 32, schedule_jitter: None }
     }
 }
-
-/// A chunk the router refused because the stream's queue was full
-/// (non-blocking [`Engine::try_push`] only). The events are handed back
-/// untouched so the producer can retry — nothing is ever dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RejectedChunk(pub Vec<Event>);
 
 /// Point-in-time statistics for one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +108,8 @@ pub struct StreamSnapshot {
     /// Total nanoseconds this stream's chunks sat queued before a worker
     /// picked them up.
     pub queue_wait_ns: u64,
-    /// Total nanoseconds producers spent blocked on this stream's
-    /// admission gate (back-pressure).
+    /// Total nanoseconds producers spent blocked on this stream's full
+    /// queue (back-pressure).
     pub producer_block_ns: u64,
     /// The worker that most recently owned the stream (`None` until the
     /// first acquisition). Ownership is exclusive but **not** static:
@@ -141,8 +140,7 @@ pub struct WorkerSnapshot {
     /// Nanoseconds spent taking stream ownership and draining batches
     /// (the scheduler hand-off cost batching amortizes).
     pub acquire_ns: u64,
-    /// Nanoseconds spent waiting for a ready stream (includes steal
-    /// scans that came up empty).
+    /// Nanoseconds spent waiting for a ready stream.
     pub idle_ns: u64,
     /// Summed queue wait of the chunks this worker dequeued.
     pub queue_wait_ns: u64,
@@ -150,15 +148,14 @@ pub struct WorkerSnapshot {
     pub wall_ns: u64,
     /// Chunks processed.
     pub chunks: u64,
-    /// Stream acquisitions taken from another worker's deque.
-    pub steals: u64,
 }
 
 /// Scheduler-level statistics: how often streams changed hands and how
 /// well batching amortized the hand-off cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerSnapshot {
-    /// Stream acquisitions stolen from another worker's deque.
+    /// Stream acquisitions by a worker other than the stream's last
+    /// owner (the sum of every stream's `migrations`).
     pub steals: u64,
     /// Total stream acquisitions (each drains one batch).
     pub batches: u64,
@@ -180,7 +177,7 @@ pub struct Snapshot {
     pub streams: Vec<StreamSnapshot>,
     /// Per-worker time accounting, indexed by worker.
     pub workers: Vec<WorkerSnapshot>,
-    /// Work-stealing scheduler statistics.
+    /// Scheduler statistics.
     pub scheduler: SchedulerSnapshot,
 }
 
@@ -254,90 +251,85 @@ pub struct EngineOutput {
     pub snapshot: Snapshot,
 }
 
-#[derive(Debug, Default)]
-struct StreamCounters {
-    events_in: u64,
-    chunks_in: u64,
-    frames_out: u64,
-    tracks_out: u64,
-    active_trackers: usize,
-    /// Producer side: `finish_stream` was called; no more submissions.
-    closed: bool,
-    /// Worker side: the finish job has been processed.
-    finished: bool,
-    /// The pipeline was dropped and the slot retired.
-    detached: bool,
-    /// A worker thread failed; waiters must not block forever.
-    failed: bool,
-}
-
-/// Scheduling state of one stream: where its ownership currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sched {
-    /// No queued jobs; in no scheduler queue, owned by nobody.
-    Idle,
-    /// Has queued jobs; sits in the injector or one worker's deque.
-    Queued,
-    /// Exactly one worker holds the stream (and its pipeline).
-    Running,
-}
-
 /// One unit of per-stream work, queued in submission order. The queue
 /// itself is the FIFO that makes the schedule invisible: whichever
 /// worker owns the stream drains jobs in exactly this order.
+#[derive(Debug)]
 enum WorkItem {
     /// A chunk plus its enqueue instant, stamped by the router so the
     /// owning worker can measure enqueue→dequeue latency.
     Chunk(Vec<Event>, Instant),
     Finish(Micros),
-    Detach,
-    /// Checkpoint the stream's pipeline and send its `SessionState`
-    /// back through the channel — the worker half of
+    /// Drop the pipeline; with `checkpoint`, first freeze it into the
+    /// stream's `handoff` slot — the worker half of
     /// [`Engine::detach_with_state`].
-    DetachWithState(Sender<ebbiot_core::SessionState>),
+    Detach {
+        checkpoint: bool,
+    },
 }
 
-/// The schedulable half of a stream: its FIFO job queue, ownership
-/// state and (between acquisitions) its pipeline. Exactly one worker
-/// may hold `Running` — and thus the pipeline — at a time.
-struct StreamWork<T: Tracker> {
+/// Everything mutable about one stream, under its one mutex.
+#[derive(Debug)]
+struct StreamInner<T: Tracker> {
+    /// Pending jobs in submission order.
     jobs: VecDeque<WorkItem>,
-    sched: Sched,
+    /// In the ready FIFO or owned by a worker; a stream is never in the
+    /// FIFO twice.
+    scheduled: bool,
     /// `Some` whenever no worker is running the stream; the owning
     /// worker takes it for the duration of a batch.
     pipeline: Option<Pipeline<T>>,
-    /// Worker of the most recent acquisition (also the injection
-    /// affinity hint: new work prefers the deque of the last owner).
+    /// Chunks queued or in processing (the back-pressure bound).
+    in_flight: usize,
+    high_water: usize,
+    /// Router/collector totals, continued from `attach_with_state`.
+    totals: StreamTotals,
+    active_trackers: usize,
+    /// Frames emitted and not yet taken, in emission order.
+    results: Vec<FrameResult>,
+    /// The checkpoint a `Detach { checkpoint: true }` job left behind.
+    handoff: Option<SessionState>,
+    /// Worker of the most recent acquisition.
     last_owner: Option<usize>,
     /// Acquisitions whose worker differed from the previous one.
     migrations: u64,
+    /// Producer side: no more submissions (`finish_stream` or a detach).
+    closed: bool,
+    /// Worker side: the finish job has been processed.
+    finished: bool,
+    /// The stream was retired by a detach.
+    detached: bool,
+    /// A worker thread failed; waiters must not block forever.
+    failed: bool,
 }
 
-impl<T: Tracker> core::fmt::Debug for StreamWork<T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("StreamWork")
-            .field("jobs", &self.jobs.len())
-            .field("sched", &self.sched)
-            .field("pipeline", &self.pipeline.is_some())
-            .field("last_owner", &self.last_owner)
-            .field("migrations", &self.migrations)
-            .finish()
+impl<T: Tracker> StreamInner<T> {
+    /// Appends a job; `true` when the stream was idle and must now be
+    /// put in the ready FIFO.
+    fn enqueue(&mut self, job: WorkItem) -> bool {
+        self.jobs.push_back(job);
+        !std::mem::replace(&mut self.scheduled, true)
+    }
+
+    /// Appends one job's frames to the ordered results and folds their
+    /// counts in; returns the buffered frame count.
+    fn publish(&mut self, frames: Vec<FrameResult>, active_trackers: usize) -> usize {
+        self.totals.frames_out += frames.len() as u64;
+        self.totals.tracks_out += frames.iter().map(|f| f.tracks.len() as u64).sum::<u64>();
+        self.active_trackers = active_trackers;
+        self.results.extend(frames);
+        self.results.len()
     }
 }
 
-/// Shared per-stream state: admission gate, counters, the collector's
-/// ordered output buffer and the schedulable work queue.
+/// One stream: its state and the condvar signalled whenever a chunk is
+/// released, the finish lands, the hand-off lands or a worker fails.
 #[derive(Debug)]
-struct StreamState<T: Tracker> {
-    gate: ChunkGate,
-    counters: Mutex<StreamCounters>,
-    /// Signalled when `counters.finished` or `counters.failed` flips.
-    progress: Condvar,
-    results: Mutex<Vec<FrameResult>>,
+struct Stream<T: Tracker> {
+    inner: Mutex<StreamInner<T>>,
+    changed: Condvar,
     /// Queue-wait and producer-block counters, labelled by camera.
     telemetry: StreamTelemetry,
-    /// Job queue + ownership state + parked pipeline.
-    work: Mutex<StreamWork<T>>,
 }
 
 /// Growable, append-only registry of stream slots. Slots are only ever
@@ -345,17 +337,11 @@ struct StreamState<T: Tracker> {
 /// for the engine's whole lifetime.
 #[derive(Debug)]
 struct StreamTable<T: Tracker> {
-    slots: RwLock<Vec<Arc<StreamState<T>>>>,
-}
-
-impl<T: Tracker> Default for StreamTable<T> {
-    fn default() -> Self {
-        Self { slots: RwLock::new(Vec::new()) }
-    }
+    slots: RwLock<Vec<Arc<Stream<T>>>>,
 }
 
 impl<T: Tracker> StreamTable<T> {
-    fn get(&self, id: usize) -> Option<Arc<StreamState<T>>> {
+    fn get(&self, id: usize) -> Option<Arc<Stream<T>>> {
         self.slots.read().unwrap_or_else(PoisonError::into_inner).get(id).cloned()
     }
 
@@ -363,125 +349,59 @@ impl<T: Tracker> StreamTable<T> {
         self.slots.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
-    fn all(&self) -> Vec<Arc<StreamState<T>>> {
+    fn all(&self) -> Vec<Arc<Stream<T>>> {
         self.slots.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
-/// The ready set: stream ids with queued work, awaiting a worker. A
-/// global injector receives streams with no affinity; per-worker deques
-/// hold streams the worker last owned (re-queued there after a batch,
-/// or injected there by producers for locality). Idle workers steal
-/// from other deques, oldest first, so load balances without pinning.
-///
-/// Everything lives under one mutex: scheduling operations are a
-/// handful of `usize` pushes/pops, and batching means workers take the
-/// lock once per *batch*, not once per chunk — correctness (no lost
-/// wakeups, no stream in two queues) is worth far more here than a
-/// lock-free deque.
-#[derive(Debug)]
-struct SchedQueues {
-    injector: VecDeque<usize>,
-    locals: Vec<VecDeque<usize>>,
-    /// Streams currently ready (in the injector or any deque).
-    ready: usize,
-    ready_high_water: usize,
+#[derive(Debug, Default)]
+struct ReadyState {
+    streams: VecDeque<usize>,
+    high_water: usize,
     shutdown: bool,
 }
 
+/// The ready FIFO: ids of streams with queued work and no owner, in the
+/// order they became ready. Workers pop the head; a stream with work
+/// left after its batch goes back to the tail.
 #[derive(Debug)]
-struct Scheduler {
-    state: Mutex<SchedQueues>,
+struct ReadyQueue {
+    state: Mutex<ReadyState>,
     available: Condvar,
-    /// Live ready-set size for the exposition.
-    ready_gauge: Arc<Gauge>,
+    /// Live FIFO length for the exposition.
+    gauge: Arc<Gauge>,
 }
 
-/// One successful stream acquisition from the scheduler.
-struct Acquired {
-    stream: usize,
-    /// Taken from another worker's deque.
-    stolen: bool,
-}
-
-impl Scheduler {
-    fn new(workers: usize, ready_gauge: Arc<Gauge>) -> Self {
-        Self {
-            state: Mutex::new(SchedQueues {
-                injector: VecDeque::new(),
-                locals: (0..workers).map(|_| VecDeque::new()).collect(),
-                ready: 0,
-                ready_high_water: 0,
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            ready_gauge,
-        }
-    }
-
-    /// Marks `stream` ready: into `prefer`'s deque when the last owner
-    /// is known (locality), the global injector otherwise.
-    fn inject(&self, stream: usize, prefer: Option<usize>) {
+impl ReadyQueue {
+    fn push(&self, stream: usize) {
         let mut state = lock(&self.state);
-        match prefer {
-            Some(w) if w < state.locals.len() => state.locals[w].push_back(stream),
-            _ => state.injector.push_back(stream),
-        }
-        state.ready += 1;
-        state.ready_high_water = state.ready_high_water.max(state.ready);
-        self.ready_gauge.set(state.ready as i64);
+        state.streams.push_back(stream);
+        state.high_water = state.high_water.max(state.streams.len());
+        self.gauge.set(state.streams.len() as i64);
         drop(state);
         self.available.notify_one();
     }
 
-    /// Blocks until a ready stream is available and claims it: own
-    /// deque first (newest first — locality), then the injector, then a
-    /// steal from another worker's deque (oldest first). `skip_local`
-    /// (jitter only) demotes the own-deque check behind the steal scan,
-    /// forcing migrations. Returns `None` once the engine shut down and
-    /// every queue is empty.
-    fn next(&self, worker: usize, skip_local: bool) -> Option<Acquired> {
+    /// Blocks until a stream is ready and claims it; `None` once the
+    /// engine shut down and the FIFO is empty.
+    fn pop(&self) -> Option<usize> {
         let mut state = lock(&self.state);
         loop {
-            if !skip_local {
-                if let Some(stream) = state.locals[worker].pop_back() {
-                    return Some(self.claim(&mut state, stream, false));
-                }
-            }
-            if let Some(stream) = state.injector.pop_front() {
-                return Some(self.claim(&mut state, stream, false));
-            }
-            let workers = state.locals.len();
-            for victim in (worker + 1..workers).chain(0..worker) {
-                if let Some(stream) = state.locals[victim].pop_front() {
-                    return Some(self.claim(&mut state, stream, true));
-                }
-            }
-            // Jitter demoted the own deque; it must still drain.
-            if let Some(stream) = state.locals[worker].pop_back() {
-                return Some(self.claim(&mut state, stream, false));
+            if let Some(stream) = state.streams.pop_front() {
+                self.gauge.set(state.streams.len() as i64);
+                return Some(stream);
             }
             if state.shutdown {
                 return None;
             }
-            state = self.available.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = wait(&self.available, state);
         }
     }
 
-    fn claim(&self, state: &mut SchedQueues, stream: usize, stolen: bool) -> Acquired {
-        state.ready -= 1;
-        self.ready_gauge.set(state.ready as i64);
-        Acquired { stream, stolen }
-    }
-
-    /// Lets workers exit once every queue is drained. Idempotent.
+    /// Lets workers exit once the FIFO is drained. Idempotent.
     fn shutdown(&self) {
         lock(&self.state).shutdown = true;
         self.available.notify_all();
-    }
-
-    fn ready_high_water(&self) -> usize {
-        lock(&self.state).ready_high_water
     }
 }
 
@@ -509,25 +429,25 @@ pub struct SessionHandoff {
     /// The pipeline's checkpoint, ready for
     /// [`Engine::attach_with_state`] (same or another engine) or an
     /// `EBSS` snapshot on disk.
-    pub state: ebbiot_core::SessionState,
+    pub state: SessionState,
     /// The stream's router/collector totals at hand-off.
     pub totals: StreamTotals,
     /// Frames emitted but not yet drained, in emission order.
     pub frames: Vec<FrameResult>,
 }
 
-/// Poisons every stream gate when a worker thread unwinds, so producers
-/// blocked on a full queue (and sessions blocked in
-/// [`Engine::wait_finished`]) fail fast instead of hanging forever.
+/// Marks every stream failed when a worker thread unwinds, so producers
+/// blocked on a full queue and threads blocked in
+/// [`Engine::wait_finished`] or [`Engine::detach_with_state`] panic
+/// instead of hanging forever.
 struct PoisonOnPanic<T: Tracker>(Arc<StreamTable<T>>);
 
 impl<T: Tracker> Drop for PoisonOnPanic<T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             for stream in self.0.all() {
-                stream.gate.poison();
-                lock(&stream.counters).failed = true;
-                stream.progress.notify_all();
+                lock(&stream.inner).failed = true;
+                stream.changed.notify_all();
             }
         }
     }
@@ -548,7 +468,7 @@ impl SplitMix {
 }
 
 /// A multi-camera tracking engine: owns one [`Pipeline`] per stream and
-/// drives them on a fixed pool of work-stealing worker threads.
+/// drives them on a fixed pool of worker threads fed by one ready FIFO.
 ///
 /// Streams are either handed over at construction ([`Engine::new`]) or
 /// attached to the *running* engine one at a time ([`Engine::attach`]) —
@@ -559,13 +479,11 @@ impl SplitMix {
 /// example.
 #[derive(Debug)]
 pub struct Engine<T: Tracker + Send + 'static = BoxedTracker> {
-    scheduler: Arc<Scheduler>,
+    ready: Arc<ReadyQueue>,
     workers: Vec<JoinHandle<()>>,
     streams: Arc<StreamTable<T>>,
     config: EngineConfig,
     started: Instant,
-    /// Serialises `attach` so slot allocation stays ordered.
-    attach_lock: Mutex<()>,
     /// Engine-wide contention instruments (always on — per-chunk cost).
     telemetry: EngineTelemetry,
     /// Per-worker counters, indexed by worker; shared with the threads.
@@ -600,6 +518,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         registry: Arc<Registry>,
     ) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
+        assert!(config.queue_capacity > 0, "engine queue capacity must be at least 1");
         // More workers than initial streams can never all run at once
         // (a stream is owned by one worker at a time) unless sessions
         // attach later; clamp to the construction-time stream count as
@@ -608,35 +527,36 @@ impl<T: Tracker + Send + 'static> Engine<T> {
         let workers =
             if pipelines.is_empty() { config.workers } else { config.workers.min(pipelines.len()) };
         let config = EngineConfig { workers, ..config };
-        let streams: Arc<StreamTable<T>> = Arc::new(StreamTable::default());
+        let streams = Arc::new(StreamTable { slots: RwLock::new(Vec::new()) });
         let telemetry = EngineTelemetry::register(registry);
-        let scheduler =
-            Arc::new(Scheduler::new(config.workers, Arc::clone(&telemetry.ready_streams)));
+        let ready = Arc::new(ReadyQueue {
+            state: Mutex::new(ReadyState::default()),
+            available: Condvar::new(),
+            gauge: Arc::clone(&telemetry.ready_streams),
+        });
 
         let mut worker_handles = Vec::with_capacity(config.workers);
         let mut worker_stats = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let streams = Arc::clone(&streams);
-            let scheduler = Arc::clone(&scheduler);
+            let ready = Arc::clone(&ready);
             let stats = WorkerTelemetry::register(telemetry.registry(), w);
             worker_stats.push(stats.clone());
             let shared = telemetry.clone();
-            let batch = config.batch_chunks.max(1);
             let jitter = config.schedule_jitter;
             let handle = std::thread::Builder::new()
                 .name(format!("ebbiot-worker-{w}"))
-                .spawn(move || worker_loop(w, &scheduler, &streams, &shared, &stats, batch, jitter))
+                .spawn(move || worker_loop(w, &ready, &streams, &shared, &stats, jitter))
                 .expect("spawn engine worker");
             worker_handles.push(handle);
         }
 
         let engine = Self {
-            scheduler,
+            ready,
             workers: worker_handles,
             streams,
             config,
             started: Instant::now(),
-            attach_lock: Mutex::new(()),
             telemetry,
             worker_stats,
         };
@@ -683,7 +603,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// stream per accepted connection and detaches it when the session
     /// ends.
     pub fn attach(&self, pipeline: Pipeline<T>) -> StreamId {
-        self.attach_inner(pipeline, StreamTotals::default())
+        self.attach_with_state(pipeline, StreamTotals::default())
     }
 
     /// Like [`Self::attach`], but resumes a checkpointed session: the
@@ -694,76 +614,36 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// before return makes this safe on a running engine, like
     /// `attach`.
     pub fn attach_with_state(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
-        self.attach_inner(pipeline, totals)
+        let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let id = StreamId(slots.len());
+        slots.push(Arc::new(Stream {
+            inner: Mutex::new(StreamInner {
+                jobs: VecDeque::new(),
+                scheduled: false,
+                active_trackers: pipeline.active_trackers(),
+                pipeline: Some(pipeline),
+                in_flight: 0,
+                high_water: 0,
+                totals,
+                results: Vec::new(),
+                handoff: None,
+                last_owner: None,
+                migrations: 0,
+                closed: false,
+                finished: false,
+                detached: false,
+                failed: false,
+            }),
+            changed: Condvar::new(),
+            telemetry: StreamTelemetry::register(self.telemetry.registry(), &id.to_string()),
+        }));
+        id
     }
 
-    fn attach_inner(&self, pipeline: Pipeline<T>, totals: StreamTotals) -> StreamId {
-        let _guard = lock(&self.attach_lock);
-        let active_trackers = pipeline.active_trackers();
-        let id = {
-            let mut slots = self.streams.slots.write().unwrap_or_else(PoisonError::into_inner);
-            let name = StreamId(slots.len()).to_string();
-            slots.push(Arc::new(StreamState {
-                gate: ChunkGate::new(self.config.queue_capacity),
-                counters: Mutex::new(StreamCounters {
-                    events_in: totals.events_in,
-                    chunks_in: totals.chunks_in,
-                    frames_out: totals.frames_out,
-                    tracks_out: totals.tracks_out,
-                    active_trackers,
-                    ..StreamCounters::default()
-                }),
-                progress: Condvar::new(),
-                results: Mutex::new(Vec::new()),
-                telemetry: StreamTelemetry::register(self.telemetry.registry(), &name),
-                work: Mutex::new(StreamWork {
-                    jobs: VecDeque::new(),
-                    sched: Sched::Idle,
-                    pipeline: Some(pipeline),
-                    last_owner: None,
-                    migrations: 0,
-                }),
-            }));
-            slots.len() - 1
-        };
-        StreamId(id)
-    }
-
-    fn state(&self, stream: StreamId) -> Arc<StreamState<T>> {
+    fn stream(&self, stream: StreamId) -> Arc<Stream<T>> {
         self.streams.get(stream.0).unwrap_or_else(|| {
             panic!("unknown stream {stream}: engine has {} streams", self.streams.len())
         })
-    }
-
-    /// Appends a job to the stream's FIFO queue, marking the stream
-    /// ready (and waking a worker) when it was idle. A stream already
-    /// queued or running will see the job when its owner re-checks the
-    /// queue after the current batch.
-    fn enqueue(&self, state: &StreamState<T>, id: usize, item: WorkItem) {
-        let inject = {
-            let mut work = lock(&state.work);
-            work.jobs.push_back(item);
-            if work.sched == Sched::Idle {
-                work.sched = Sched::Queued;
-                Some(work.last_owner)
-            } else {
-                None
-            }
-        };
-        if let Some(prefer) = inject {
-            self.scheduler.inject(id, prefer);
-        }
-    }
-
-    fn submit(&self, stream: StreamId, chunk: Vec<Event>) {
-        let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "push to {stream} after finish_stream");
-            counters.chunks_in += 1;
-            counters.events_in += chunk.len() as u64;
-        }
-        self.enqueue(&state, stream.0, WorkItem::Chunk(chunk, Instant::now()));
     }
 
     /// Routes a time-ordered chunk of events to `stream`, blocking while
@@ -776,32 +656,27 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, after [`Self::finish_stream`], or
     /// when a worker has failed.
     pub fn push(&self, stream: StreamId, chunk: Vec<Event>) {
-        let state = self.state(stream);
+        let state = self.stream(stream);
         let admission = Instant::now();
-        let depth = state.gate.acquire();
+        let mut inner = lock(&state.inner);
+        loop {
+            assert!(!inner.failed, "engine worker failed; stream queue will never drain");
+            if inner.in_flight < self.config.queue_capacity {
+                break;
+            }
+            inner = wait(&state.changed, inner);
+        }
         state.telemetry.producer_block.add_duration(admission.elapsed());
-        self.telemetry.queue_depth.record(depth as u64);
-        self.submit(stream, chunk);
-    }
-
-    /// Like [`Self::push`] but never blocks: a full stream queue hands
-    /// the chunk back as [`RejectedChunk`] for the producer to retry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the chunk untouched when the stream is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown stream, after [`Self::finish_stream`], or
-    /// when a worker has failed.
-    pub fn try_push(&self, stream: StreamId, chunk: Vec<Event>) -> Result<(), RejectedChunk> {
-        if let Some(depth) = self.state(stream).gate.try_acquire() {
-            self.telemetry.queue_depth.record(depth as u64);
-            self.submit(stream, chunk);
-            Ok(())
-        } else {
-            Err(RejectedChunk(chunk))
+        assert!(!inner.closed, "push to {stream} after finish_stream");
+        inner.in_flight += 1;
+        inner.high_water = inner.high_water.max(inner.in_flight);
+        self.telemetry.queue_depth.record(inner.in_flight as u64);
+        inner.totals.chunks_in += 1;
+        inner.totals.events_in += chunk.len() as u64;
+        let ready = inner.enqueue(WorkItem::Chunk(chunk, Instant::now()));
+        drop(inner);
+        if ready {
+            self.ready.push(stream.0);
         }
     }
 
@@ -815,13 +690,15 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, on a second `finish_stream` for the
     /// same stream, or when a worker has failed.
     pub fn finish_stream(&self, stream: StreamId, span_us: Micros) {
-        let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "finish_stream called twice for {stream}");
-            counters.closed = true;
+        let state = self.stream(stream);
+        let mut inner = lock(&state.inner);
+        assert!(!inner.closed, "finish_stream called twice for {stream}");
+        inner.closed = true;
+        let ready = inner.enqueue(WorkItem::Finish(span_us));
+        drop(inner);
+        if ready {
+            self.ready.push(stream.0);
         }
-        self.enqueue(&state, stream.0, WorkItem::Finish(span_us));
     }
 
     /// Blocks until the worker has processed `stream`'s finish job, so
@@ -835,12 +712,12 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// called for it (the wait could block forever), or when a worker
     /// has failed.
     pub fn wait_finished(&self, stream: StreamId) {
-        let state = self.state(stream);
-        let mut counters = lock(&state.counters);
-        assert!(counters.closed, "wait_finished on {stream} before finish_stream");
-        while !counters.finished {
-            assert!(!counters.failed, "engine worker failed while {stream} awaited finish");
-            counters = state.progress.wait(counters).unwrap_or_else(PoisonError::into_inner);
+        let state = self.stream(stream);
+        let mut inner = lock(&state.inner);
+        assert!(inner.closed, "wait_finished on {stream} before finish_stream");
+        while !inner.finished {
+            assert!(!inner.failed, "engine worker failed while {stream} awaited finish");
+            inner = wait(&state.changed, inner);
         }
     }
 
@@ -855,9 +732,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream.
     #[must_use]
     pub fn take_results(&self, stream: StreamId) -> Vec<FrameResult> {
-        let state = self.state(stream);
-        let taken = std::mem::take(&mut *lock(&state.results));
-        taken
+        std::mem::take(&mut lock(&self.stream(stream).inner).results)
     }
 
     /// The highest queue depth `stream` has seen — the per-stream
@@ -869,7 +744,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream.
     #[must_use]
     pub fn queue_high_water(&self, stream: StreamId) -> usize {
-        self.state(stream).gate.high_water()
+        lock(&self.stream(stream).inner).high_water
     }
 
     /// Retires a finished stream from the running engine: queues a job
@@ -889,22 +764,12 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// (call [`Self::finish_stream`] then [`Self::wait_finished`]
     /// first), on a second detach, or when a worker has failed.
     pub fn detach(&self, stream: StreamId) -> Vec<FrameResult> {
-        let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(counters.finished, "detach of {stream} before its finish was processed");
-            assert!(!counters.detached, "detach called twice for {stream}");
-            counters.detached = true;
-        }
-        self.enqueue(&state, stream.0, WorkItem::Detach);
-        let remaining = std::mem::take(&mut *lock(&state.results));
-        remaining
+        self.retire(stream, false).2
     }
 
     /// Checkpoints and retires a **running** stream: blocks until the
     /// owning worker has drained every chunk already pushed, then
-    /// freezes the pipeline into a
-    /// [`SessionState`](ebbiot_core::SessionState) and returns it with
+    /// freezes the pipeline into a [`SessionState`] and returns it with
     /// the stream's totals and undrained frames. No `finish_stream`
     /// happens — the open window rides along inside the state, so a
     /// later [`Self::attach_with_state`] (same engine, another engine,
@@ -922,30 +787,45 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// Panics on an unknown stream, after [`Self::finish_stream`] (a
     /// finished stream has nothing live to hand over — use
     /// [`Self::detach`]), on a second detach, or when a worker has
-    /// failed.
+    /// failed (also while this call waits for the hand-off).
     pub fn detach_with_state(&self, stream: StreamId) -> SessionHandoff {
-        let state = self.state(stream);
-        {
-            let mut counters = lock(&state.counters);
-            assert!(!counters.closed, "detach_with_state of {stream} after finish_stream");
-            assert!(!counters.detached, "detach called twice for {stream}");
-            counters.closed = true;
-            counters.detached = true;
+        let (state, totals, frames) = self.retire(stream, true);
+        SessionHandoff {
+            state: state.expect("checkpointing detach yields a state"),
+            totals,
+            frames,
         }
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(&state, stream.0, WorkItem::DetachWithState(tx));
-        let session = rx.recv().expect("engine worker failed during the state hand-off");
-        let frames = std::mem::take(&mut *lock(&state.results));
-        let totals = {
-            let counters = lock(&state.counters);
-            StreamTotals {
-                events_in: counters.events_in,
-                chunks_in: counters.chunks_in,
-                frames_out: counters.frames_out,
-                tracks_out: counters.tracks_out,
-            }
-        };
-        SessionHandoff { state: session, totals, frames }
+    }
+
+    /// The shared half of [`Self::detach`] and
+    /// [`Self::detach_with_state`]: closes the stream, queues the
+    /// detach job and — when checkpointing — waits for the worker to
+    /// leave the state behind, then drains the undelivered frames.
+    fn retire(
+        &self,
+        stream: StreamId,
+        checkpoint: bool,
+    ) -> (Option<SessionState>, StreamTotals, Vec<FrameResult>) {
+        let state = self.stream(stream);
+        let mut inner = lock(&state.inner);
+        if checkpoint {
+            assert!(!inner.closed, "detach_with_state of {stream} after finish_stream");
+        } else {
+            assert!(inner.finished, "detach of {stream} before its finish was processed");
+        }
+        assert!(!inner.detached, "detach called twice for {stream}");
+        inner.closed = true;
+        inner.detached = true;
+        if inner.enqueue(WorkItem::Detach { checkpoint }) {
+            // The ready FIFO's lock nests inside a stream lock, never
+            // the other way round.
+            self.ready.push(stream.0);
+        }
+        while checkpoint && inner.handoff.is_none() {
+            assert!(!inner.failed, "engine worker failed during the state hand-off of {stream}");
+            inner = wait(&state.changed, inner);
+        }
+        (inner.handoff.take(), inner.totals, std::mem::take(&mut inner.results))
     }
 
     /// Current per-stream, per-worker and scheduler statistics.
@@ -959,26 +839,22 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                 .iter()
                 .enumerate()
                 .map(|(i, state)| {
-                    let counters = lock(&state.counters);
-                    let (last_owner, migrations) = {
-                        let work = lock(&state.work);
-                        (work.last_owner, work.migrations)
-                    };
+                    let inner = lock(&state.inner);
                     StreamSnapshot {
                         id: StreamId(i),
-                        events_in: counters.events_in,
-                        chunks_in: counters.chunks_in,
-                        frames_out: counters.frames_out,
-                        tracks_out: counters.tracks_out,
-                        active_trackers: counters.active_trackers,
-                        queue_depth: state.gate.depth(),
-                        queue_high_water: state.gate.high_water(),
+                        events_in: inner.totals.events_in,
+                        chunks_in: inner.totals.chunks_in,
+                        frames_out: inner.totals.frames_out,
+                        tracks_out: inner.totals.tracks_out,
+                        active_trackers: inner.active_trackers,
+                        queue_depth: inner.in_flight,
+                        queue_high_water: inner.high_water,
                         queue_wait_ns: state.telemetry.queue_wait.get(),
                         producer_block_ns: state.telemetry.producer_block.get(),
-                        last_owner,
-                        migrations,
-                        finished: counters.finished,
-                        detached: counters.detached,
+                        last_owner: inner.last_owner,
+                        migrations: inner.migrations,
+                        finished: inner.finished,
+                        detached: inner.detached,
                     }
                 })
                 .collect(),
@@ -994,7 +870,6 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                     queue_wait_ns: stats.queue_wait.get(),
                     wall_ns: stats.wall.get(),
                     chunks: stats.chunks.get(),
-                    steals: stats.steals.get(),
                 })
                 .collect(),
             scheduler: SchedulerSnapshot {
@@ -1002,7 +877,7 @@ impl<T: Tracker + Send + 'static> Engine<T> {
                 batches: self.telemetry.batch_size.count(),
                 batch_mean: self.telemetry.batch_size.mean(),
                 batch_max_le: self.telemetry.batch_size.max_bound(),
-                ready_high_water: self.scheduler.ready_high_water(),
+                ready_high_water: lock(&self.ready.state).high_water,
             },
         }
     }
@@ -1020,14 +895,18 @@ impl<T: Tracker + Send + 'static> Engine<T> {
     /// stream) on the caller.
     #[must_use]
     pub fn join(mut self) -> EngineOutput {
-        self.scheduler.shutdown();
+        self.ready.shutdown();
         for worker in self.workers.drain(..) {
             if let Err(panic) = worker.join() {
                 std::panic::resume_unwind(panic);
             }
         }
-        let streams =
-            self.streams.all().iter().map(|s| std::mem::take(&mut *lock(&s.results))).collect();
+        let streams = self
+            .streams
+            .all()
+            .iter()
+            .map(|s| std::mem::take(&mut lock(&s.inner).results))
+            .collect();
         EngineOutput { streams, snapshot: self.snapshot() }
     }
 }
@@ -1037,49 +916,16 @@ impl<T: Tracker + Send + 'static> Drop for Engine<T> {
     /// path) must not strand its workers in the scheduler wait: signal
     /// shutdown so they drain whatever is queued and exit detached.
     fn drop(&mut self) {
-        self.scheduler.shutdown();
-    }
-}
-
-/// Appends one job's frames to the stream's ordered results and folds
-/// its counts into the stream counters. Frames are published *before*
-/// `finished` flips: a waiter in `wait_finished` may observe the flag
-/// without ever blocking on the condvar, and its follow-up
-/// `take_results`/`detach` must already see every frame the stream will
-/// ever emit.
-fn publish<T: Tracker>(
-    state: &StreamState<T>,
-    telemetry: &EngineTelemetry,
-    frames: Vec<FrameResult>,
-    active_trackers: usize,
-    finished: bool,
-) {
-    let (frame_count, track_count) =
-        (frames.len() as u64, frames.iter().map(|f| f.tracks.len() as u64).sum::<u64>());
-    {
-        let mut results = lock(&state.results);
-        results.extend(frames);
-        telemetry.collector_buffered.record(results.len() as u64);
-    }
-    {
-        let mut counters = lock(&state.counters);
-        counters.frames_out += frame_count;
-        counters.tracks_out += track_count;
-        counters.active_trackers = active_trackers;
-        counters.finished |= finished;
-    }
-    if finished {
-        state.progress.notify_all();
+        self.ready.shutdown();
     }
 }
 
 fn worker_loop<T: Tracker>(
     worker: usize,
-    scheduler: &Scheduler,
+    ready: &ReadyQueue,
     streams: &Arc<StreamTable<T>>,
     telemetry: &EngineTelemetry,
     stats: &WorkerTelemetry,
-    batch_chunks: usize,
     jitter: Option<u64>,
 ) {
     let _poison_guard = PoisonOnPanic(Arc::clone(streams));
@@ -1087,7 +933,7 @@ fn worker_loop<T: Tracker>(
         jitter.map(|seed| SplitMix(seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 1));
     // Worker-local scratch, reused across every batch drain: the job
     // buffer never reallocates once grown to the batch limit.
-    let mut batch: Vec<WorkItem> = Vec::with_capacity(batch_chunks);
+    let mut batch: Vec<WorkItem> = Vec::with_capacity(BATCH_CHUNKS);
     // Telescoping time accounting: every nanosecond between `started`
     // and exit is attributed to exactly one of idle (waiting for a
     // ready stream), acquire (claiming ownership + draining the batch)
@@ -1097,18 +943,20 @@ fn worker_loop<T: Tracker>(
     let mut mark = started;
     loop {
         // Jitter (tests only): perturb the schedule so the determinism
-        // proptests explore many steal/migration interleavings.
-        let mut skip_local = false;
+        // proptests explore many migration interleavings.
+        let mut limit = BATCH_CHUNKS;
         if let Some(rng) = rng.as_mut() {
             let roll = rng.next();
-            skip_local = roll % 3 == 0;
+            if roll % 3 == 0 {
+                limit = 1;
+            }
             if roll % 4 == 0 {
                 std::thread::yield_now();
             } else if roll % 5 == 0 {
                 std::thread::sleep(Duration::from_micros(roll % 200));
             }
         }
-        let Some(acquired) = scheduler.next(worker, skip_local) else {
+        let Some(id) = ready.pop() else {
             let now = Instant::now();
             stats.idle.add_duration(now - mark);
             stats.wall.add_duration(now - started);
@@ -1116,79 +964,79 @@ fn worker_loop<T: Tracker>(
         };
         let picked = Instant::now();
         stats.idle.add_duration(picked - mark);
-        if acquired.stolen {
-            stats.steals.inc();
-            telemetry.steals.inc();
-        }
-        let state = streams.get(acquired.stream).expect("scheduled stream exists");
+        let stream = streams.get(id).expect("scheduled stream exists");
 
         // Acquire: take exclusive ownership, drain one batch of jobs
         // and lift the pipeline out (it travels with the batch).
         let mut pipeline = {
-            let mut work = lock(&state.work);
-            debug_assert_eq!(work.sched, Sched::Queued, "acquired stream must be queued");
-            work.sched = Sched::Running;
-            if work.last_owner != Some(worker) {
-                if work.last_owner.is_some() {
-                    work.migrations += 1;
+            let mut inner = lock(&stream.inner);
+            if inner.last_owner != Some(worker) {
+                if inner.last_owner.is_some() {
+                    inner.migrations += 1;
+                    telemetry.steals.inc();
                 }
-                work.last_owner = Some(worker);
+                inner.last_owner = Some(worker);
             }
-            let take = work.jobs.len().min(batch_chunks);
-            batch.extend(work.jobs.drain(..take));
-            work.pipeline.take()
+            let take = inner.jobs.len().min(limit);
+            batch.extend(inner.jobs.drain(..take));
+            inner.pipeline.take()
         };
         telemetry.batch_size.record(batch.len() as u64);
         let dequeued = Instant::now();
         stats.acquire.add_duration(dequeued - picked);
 
         for job in batch.drain(..) {
-            match job {
+            let p = pipeline.as_mut().expect("owned stream has a pipeline");
+            let (frames, chunk_done) = match job {
                 WorkItem::Chunk(chunk, enqueued) => {
                     let wait = dequeued.saturating_duration_since(enqueued);
                     telemetry.queue_wait.record_duration(wait);
                     stats.queue_wait.add_duration(wait);
-                    state.telemetry.queue_wait.add_duration(wait);
+                    stream.telemetry.queue_wait.add_duration(wait);
                     stats.chunks.inc();
-                    let p = pipeline.as_mut().expect("owned stream has a pipeline");
                     let frames = p.push(&chunk);
-                    publish(&state, telemetry, frames, p.active_trackers(), false);
-                    state.gate.release();
+                    // Free the chunk before its slot: the queue bound
+                    // then bounds the stream's chunk memory exactly.
+                    drop(chunk);
+                    (frames, true)
                 }
-                WorkItem::Finish(span_us) => {
-                    let p = pipeline.as_mut().expect("owned stream has a pipeline");
-                    let frames = p.finish(span_us);
-                    let active = p.active_trackers();
-                    publish(&state, telemetry, frames, active, true);
-                }
-                WorkItem::Detach => {
-                    pipeline = None;
-                }
-                WorkItem::DetachWithState(reply) => {
+                WorkItem::Finish(span_us) => (p.finish(span_us), false),
+                WorkItem::Detach { checkpoint } => {
                     let p = pipeline.take().expect("owned stream has a pipeline");
-                    // A dropped receiver means the detaching thread gave
-                    // up (e.g. panicked); discard the state.
-                    let _ = reply.send(p.checkpoint());
+                    if checkpoint {
+                        let state = p.checkpoint();
+                        lock(&stream.inner).handoff = Some(state);
+                        stream.changed.notify_all();
+                    }
+                    continue;
                 }
+            };
+            // Frames are published in the same critical section that
+            // releases the chunk's slot or flips `finished`, so a
+            // `wait_finished` waiter sees every frame the stream will
+            // ever emit.
+            let mut inner = lock(&stream.inner);
+            let buffered = inner.publish(frames, p.active_trackers());
+            if chunk_done {
+                inner.in_flight -= 1;
+            } else {
+                inner.finished = true;
             }
+            drop(inner);
+            telemetry.collector_buffered.record(buffered as u64);
+            stream.changed.notify_all();
         }
 
         // Release: park the pipeline and, if more jobs arrived while
-        // this batch ran, mark the stream ready again (own deque, for
-        // locality — idle peers can still steal it).
+        // this batch ran, put the stream back at the FIFO's tail.
         let requeue = {
-            let mut work = lock(&state.work);
-            work.pipeline = pipeline.take();
-            if work.jobs.is_empty() {
-                work.sched = Sched::Idle;
-                false
-            } else {
-                work.sched = Sched::Queued;
-                true
-            }
+            let mut inner = lock(&stream.inner);
+            inner.pipeline = pipeline.take();
+            inner.scheduled = !inner.jobs.is_empty();
+            inner.scheduled
         };
         if requeue {
-            scheduler.inject(acquired.stream, Some(worker));
+            ready.push(id);
         }
         let done = Instant::now();
         stats.busy.add_duration(done - dequeued);
@@ -1262,15 +1110,9 @@ mod tests {
 
     #[test]
     fn batching_amortizes_acquisitions_below_chunk_count() {
-        // One worker, one stream, tiny batch limit: acquisitions are
-        // counted per batch, not per chunk, and respect the limit.
-        let config = EngineConfig {
-            workers: 1,
-            batch_chunks: 2,
-            queue_capacity: 32,
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(config, pipelines(1));
+        // One worker, one stream: acquisitions are counted per batch,
+        // not per chunk, and never exceed the job count.
+        let engine = Engine::new(EngineConfig::with_workers(1), pipelines(1));
         for k in 0..6u64 {
             engine.push(StreamId(0), block_events(40 + 3 * k as u16, k * 66_000));
         }
@@ -1285,7 +1127,7 @@ mod tests {
         );
         assert!(sched.batch_mean >= 1.0);
         assert!(sched.batch_max_le >= 1);
-        assert_eq!(sched.steals, 0, "one worker cannot steal from itself");
+        assert_eq!(sched.steals, 0, "one worker never takes a stream from another");
         assert!(sched.ready_high_water >= 1);
         assert_eq!(out.snapshot.streams[0].last_owner, Some(0));
         assert_eq!(out.snapshot.streams[0].migrations, 0, "one worker, no migrations");
@@ -1395,9 +1237,9 @@ mod tests {
         let sched = out.snapshot.scheduler;
         assert!(sched.batches >= 2, "each stream needs at least one acquisition");
         assert_eq!(
-            out.snapshot.workers.iter().map(|w| w.steals).sum::<u64>(),
+            out.snapshot.streams.iter().map(|s| s.migrations).sum::<u64>(),
             sched.steals,
-            "per-worker steals sum to the scheduler total"
+            "steals count exactly the migrations"
         );
     }
 
@@ -1581,7 +1423,7 @@ mod tests {
     #[test]
     fn jittered_schedule_is_still_bit_identical() {
         // The jitter knob perturbs worker acquisition order (yields,
-        // micro-sleeps, forced steals) — output must not move.
+        // micro-sleeps, batches cut to one job) — output must not move.
         let chunks: Vec<Vec<Event>> =
             (0..6u64).map(|k| block_events(40 + 4 * k as u16, k * 66_000)).collect();
         let span = 8 * 66_000;
@@ -1593,12 +1435,8 @@ mod tests {
         expected.extend(reference.finish(span));
 
         for seed in [1u64, 42, 0xDEAD_BEEF] {
-            let config = EngineConfig {
-                workers: 3,
-                queue_capacity: 2,
-                batch_chunks: 2,
-                schedule_jitter: Some(seed),
-            };
+            let config =
+                EngineConfig { workers: 3, queue_capacity: 2, schedule_jitter: Some(seed) };
             let engine = Engine::new(config, pipelines(3));
             for chunk in &chunks {
                 for s in 0..3 {

@@ -9,13 +9,14 @@
 //! workspace is offline/vendored):
 //!
 //! * a [`StreamId`]-keyed **router** that appends incoming event chunks
-//!   to per-stream bounded FIFO queues, with blocking ([`Engine::push`])
-//!   or rejecting ([`Engine::try_push`]) back-pressure via
-//!   [`ChunkGate`];
-//! * a **work-stealing scheduler** (global injector + per-worker
-//!   deques) over *stream* granularity: a ready stream is a schedulable
-//!   unit exactly one worker owns at a time, drains a *batch* of queued
-//!   chunks per acquisition, and migrates to whichever worker is free;
+//!   to per-stream bounded FIFO queues; the bounded queue *is* the
+//!   back-pressure — [`Engine::push`] blocks while the stream is full;
+//! * one **ready FIFO** over *stream* granularity: a stream with queued
+//!   work is a schedulable unit exactly one worker owns at a time,
+//!   drains a *batch* of queued chunks per acquisition, and goes back
+//!   to the FIFO's tail (so it migrates to whichever worker is free)
+//!   when more work arrived meanwhile. Each stream keeps its queue,
+//!   counters, results and parked pipeline under one mutex;
 //! * a **worker pool** that acquires ready streams and drives each
 //!   stream's own [`Pipeline`](ebbiot_core::Pipeline);
 //! * an **output collector** that keeps every stream's `FrameResult`s in
@@ -44,7 +45,7 @@
 //!
 //! Engine output is **bit-for-bit identical to running each stream's
 //! pipeline sequentially**, for any worker count, any chunk granularity
-//! and any steal schedule. Three properties combine to give this:
+//! and any schedule. Three properties combine to give this:
 //!
 //! 1. **Exclusive ownership** — a ready stream is acquired by exactly
 //!    one worker at a time; ownership may *migrate* between
@@ -66,7 +67,7 @@
 //! workers against sequential `process_recording`, for every registered
 //! back-end, plus a proptest that perturbs the schedule with
 //! [`EngineConfig::schedule_jitter`] (random yields, micro-sleeps and
-//! forced steals) and random attach/detach interleavings.
+//! batches cut to one job) and random attach/detach interleavings.
 //!
 //! # Example
 //!
@@ -94,15 +95,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backpressure;
 pub mod engine;
 pub mod fleet;
 pub mod telemetry;
 
-pub use backpressure::ChunkGate;
 pub use engine::{
-    Engine, EngineConfig, EngineOutput, RejectedChunk, SchedulerSnapshot, SessionHandoff, Snapshot,
-    StreamId, StreamSnapshot, StreamTotals, WorkerSnapshot,
+    Engine, EngineConfig, EngineOutput, SchedulerSnapshot, SessionHandoff, Snapshot, StreamId,
+    StreamSnapshot, StreamTotals, WorkerSnapshot,
 };
 pub use fleet::{FleetOptions, FleetRun, FleetStream};
 pub use telemetry::{EngineTelemetry, StreamTelemetry, WorkerTelemetry};

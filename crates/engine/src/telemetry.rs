@@ -9,7 +9,7 @@
 //! (ARCHITECTURE.md §7):
 //!
 //! * **per worker** ([`WorkerTelemetry`]) — busy / acquire / idle /
-//!   wall time, chunk counts and steals, accounted with telescoping
+//!   wall time and chunk counts, accounted with telescoping
 //!   timestamps so that `busy + acquire + idle == wall` holds *exactly*
 //!   at worker exit (the determinism suite asserts equality, not a
 //!   tolerance);
@@ -17,7 +17,7 @@
 //!   distributions, plus collector reorder-buffer occupancy;
 //! * **per stream** ([`StreamTelemetry`]) — cumulative queue wait and
 //!   producer back-pressure blocking, labelled by camera;
-//! * **scheduler** — steal counts, the jobs-per-acquisition batch-size
+//! * **scheduler** — migration counts, the jobs-per-acquisition batch-size
 //!   histogram (how well batching amortizes hand-off), and a live
 //!   ready-streams gauge.
 
@@ -31,7 +31,7 @@ pub const CHUNK_QUEUE_WAIT_METRIC: &str = "ebbiot_engine_chunk_queue_wait_nanose
 pub const QUEUE_DEPTH_METRIC: &str = "ebbiot_engine_queue_depth_chunks";
 /// Collector buffer occupancy after each append (frames awaiting drain).
 pub const COLLECTOR_BUFFERED_METRIC: &str = "ebbiot_engine_collector_buffered_frames";
-/// Stream acquisitions taken from another worker's deque.
+/// Stream acquisitions by a worker other than the stream's last owner.
 pub const STEALS_METRIC: &str = "ebbiot_engine_steals_total";
 /// Jobs drained per stream acquisition (batching effectiveness).
 pub const BATCH_SIZE_METRIC: &str = "ebbiot_engine_batch_chunks";
@@ -48,7 +48,8 @@ pub struct EngineTelemetry {
     pub queue_depth: Arc<Histogram>,
     /// Collector buffer occupancy sampled after each append.
     pub collector_buffered: Arc<Histogram>,
-    /// Stream acquisitions stolen from another worker's deque.
+    /// Stream acquisitions by a worker other than the stream's last
+    /// owner (stream migrations).
     pub steals: Arc<Counter>,
     /// Jobs drained per stream acquisition.
     pub batch_size: Arc<Histogram>,
@@ -99,8 +100,6 @@ pub struct WorkerTelemetry {
     pub wall: Arc<Counter>,
     /// Chunks processed (finish jobs excluded).
     pub chunks: Arc<Counter>,
-    /// Stream acquisitions taken from another worker's deque.
-    pub steals: Arc<Counter>,
 }
 
 impl WorkerTelemetry {
@@ -117,7 +116,6 @@ impl WorkerTelemetry {
                 .counter("ebbiot_engine_worker_queue_wait_nanoseconds_total", labels),
             wall: registry.counter("ebbiot_engine_worker_wall_nanoseconds_total", labels),
             chunks: registry.counter("ebbiot_engine_worker_chunks_total", labels),
-            steals: registry.counter("ebbiot_engine_worker_steals_total", labels),
         }
     }
 }
@@ -128,7 +126,8 @@ impl WorkerTelemetry {
 pub struct StreamTelemetry {
     /// Total nanoseconds this stream's chunks sat queued.
     pub queue_wait: Arc<Counter>,
-    /// Total nanoseconds producers spent blocked on the stream's gate.
+    /// Total nanoseconds producers spent blocked on the stream's full
+    /// queue.
     pub producer_block: Arc<Counter>,
 }
 
@@ -180,13 +179,11 @@ mod tests {
         w1.busy.add(5);
         w1.acquire.add(2);
         w1.chunks.inc();
-        w1.steals.inc();
         StreamTelemetry::register(&registry, "cam02").queue_wait.add(9);
         let text = registry.render();
         assert!(text.contains("ebbiot_engine_worker_busy_nanoseconds_total{worker=\"1\"} 5"));
         assert!(text.contains("ebbiot_engine_worker_acquire_nanoseconds_total{worker=\"1\"} 2"));
         assert!(text.contains("ebbiot_engine_worker_chunks_total{worker=\"1\"} 1"));
-        assert!(text.contains("ebbiot_engine_worker_steals_total{worker=\"1\"} 1"));
         assert!(
             text.contains("ebbiot_engine_stream_queue_wait_nanoseconds_total{stream=\"cam02\"} 9")
         );

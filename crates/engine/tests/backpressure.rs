@@ -1,7 +1,6 @@
 //! Back-pressure integration: a stream whose bounded queue fills up
-//! blocks (`push`) or rejects (`try_push`) its producer, never drops or
-//! reorders a chunk, and the engine's `Snapshot` reports the queue-depth
-//! high-water mark.
+//! blocks its producer in `push`, never drops or reorders a chunk, and
+//! the engine's `Snapshot` reports the queue-depth high-water mark.
 
 use ebbiot_core::{EbbiotConfig, EbbiotPipeline};
 use ebbiot_engine::{Engine, EngineConfig, StreamId};
@@ -66,36 +65,6 @@ fn blocking_push_under_full_queue_drops_and_reorders_nothing() {
             "snapshot reports the capacity-1 high-water mark"
         );
     }
-}
-
-#[test]
-fn try_push_rejects_when_full_and_rejected_chunks_can_be_retried() {
-    let expected = expected();
-    let engine = Engine::new(
-        EngineConfig { workers: 1, queue_capacity: 1, ..EngineConfig::default() },
-        pipelines(1),
-    );
-    let mut rejections = 0u64;
-    for f in 0..FRAMES {
-        let mut chunk = frame_chunk(f);
-        // Spin until admitted: a rejection hands the chunk back intact,
-        // so retrying preserves both content and order.
-        loop {
-            match engine.try_push(StreamId(0), chunk) {
-                Ok(()) => break,
-                Err(rejected) => {
-                    rejections += 1;
-                    chunk = rejected.0;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-    engine.finish_stream(StreamId(0), FRAMES * 66_000);
-    let out = engine.join();
-    assert_eq!(out.streams[0], expected, "despite {rejections} rejections nothing was lost");
-    assert_eq!(out.snapshot.streams[0].chunks_in, FRAMES);
-    assert_eq!(out.snapshot.streams[0].queue_high_water, 1);
 }
 
 #[test]

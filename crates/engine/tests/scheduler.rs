@@ -1,7 +1,7 @@
-//! Work-stealing scheduler smoke tests for degenerate configurations:
+//! Scheduler smoke tests for degenerate configurations:
 //! oversubscribed worker pools (`workers > streams`, `workers =
 //! 2×cores`) must drain cleanly — no deadlock, no leaked streams, no
-//! lost or reordered frames — because the scheduler's shutdown drain
+//! lost or reordered frames — because the ready FIFO's shutdown drain
 //! and exclusive stream ownership hold at any worker:stream ratio. The
 //! CI "Scheduler" step runs this file alongside the jitter proptests in
 //! `tests/engine_determinism.rs`.
@@ -78,8 +78,8 @@ fn more_workers_than_streams_drains_without_deadlock() {
 
 #[test]
 fn twice_the_cores_drains_without_deadlock() {
-    // More workers than the machine has cores: acquisition and steal
-    // scans contend on genuinely preempted threads.
+    // More workers than the machine has cores: acquisitions contend on
+    // genuinely preempted threads.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = 2 * cores;
     let engine: Engine<OverlapTracker> = Engine::new(
@@ -96,16 +96,11 @@ fn twice_the_cores_drains_without_deadlock() {
 
 #[test]
 fn oversubscribed_and_jittered_still_drains() {
-    // The worst of both: oversubscription plus schedule jitter (forced
-    // steals, yields, micro-sleeps). Liveness and bit-exactness both
-    // hold.
+    // The worst of both: oversubscription plus schedule jitter
+    // (batches cut to one job, yields, micro-sleeps) over capacity-1
+    // queues. Liveness and bit-exactness both hold.
     let engine: Engine<OverlapTracker> = Engine::new(
-        EngineConfig {
-            workers: 6,
-            queue_capacity: 1,
-            batch_chunks: 1,
-            schedule_jitter: Some(0xC0FFEE),
-        },
+        EngineConfig { workers: 6, queue_capacity: 1, schedule_jitter: Some(0xC0FFEE) },
         Vec::new(),
     );
     for pipeline in pipelines(3) {

@@ -16,24 +16,16 @@
 //!
 //! * [`NnFilter`] — the nearest-neighbour filter: an event is signal when
 //!   some pixel in its `p x p` neighbourhood fired within the support
-//!   window,
-//! * [`RefractoryFilter`] — drops events from a pixel within its
-//!   refractory period (a common pre-filter on real sensors),
-//! * [`polarity::PolarityFilter`] — keeps a single polarity,
-//! * [`EventFilter`] — the streaming-filter trait, plus [`FilterChain`]
-//!   for composition and [`filter_stream`] for batch use.
+//!   window (the EBMS baseline's denoiser),
+//! * [`EventFilter`] — the streaming-filter trait, plus [`filter_stream`]
+//!   for batch use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod nn_filter;
-pub mod polarity;
-pub mod refractory;
 
-pub use chain::{filter_stream, FilterChain};
 pub use nn_filter::NnFilter;
-pub use refractory::RefractoryFilter;
 
 use ebbiot_events::{Event, OpsCounter};
 
@@ -54,4 +46,9 @@ pub trait EventFilter {
 
     /// Resets the op counter.
     fn reset_ops(&mut self);
+}
+
+/// Runs a filter over a whole stream, returning the kept events.
+pub fn filter_stream(filter: &mut impl EventFilter, events: &[Event]) -> Vec<Event> {
+    events.iter().filter(|e| filter.keep(e)).copied().collect()
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for event-domain filters.
 
 use ebbiot_events::{stream, Event, Polarity, SensorGeometry};
-use ebbiot_filters::{filter_stream, EventFilter, FilterChain, NnFilter, RefractoryFilter};
+use ebbiot_filters::{filter_stream, EventFilter, NnFilter};
 use proptest::prelude::*;
 
 const W: u16 = 64;
@@ -43,44 +43,12 @@ proptest! {
     }
 
     #[test]
-    fn refractory_enforces_min_gap_per_pixel(
-        events in arb_stream(),
-        gap in 1_000u64..100_000,
-    ) {
-        let mut filter = RefractoryFilter::new(geometry(), gap);
-        let kept = filter_stream(&mut filter, &events);
-        let mut last: std::collections::HashMap<(u16, u16), u64> = Default::default();
-        for e in &kept {
-            if let Some(&prev) = last.get(&e.pixel()) {
-                prop_assert!(e.t - prev >= gap, "gap violated: {} after {}", e.t, prev);
-            }
-            last.insert(e.pixel(), e.t);
-        }
-    }
-
-    #[test]
     fn nn_filter_is_deterministic_and_reset_restores_state(events in arb_stream()) {
         let mut filter = NnFilter::paper_default(geometry());
         let first = filter_stream(&mut filter, &events);
         filter.reset();
         let second = filter_stream(&mut filter, &events);
         prop_assert_eq!(first, second);
-    }
-
-    #[test]
-    fn chain_keeps_subset_of_each_stage(events in arb_stream()) {
-        // chain(refractory, nn) ⊆ refractory alone.
-        let mut refr_alone = RefractoryFilter::new(geometry(), 2_000);
-        let refr_kept = filter_stream(&mut refr_alone, &events);
-
-        let mut chain = FilterChain::new()
-            .with(RefractoryFilter::new(geometry(), 2_000))
-            .with(NnFilter::paper_default(geometry()));
-        let chain_kept = filter_stream(&mut chain, &events);
-        prop_assert!(chain_kept.len() <= refr_kept.len());
-        for e in &chain_kept {
-            prop_assert!(refr_kept.contains(e));
-        }
     }
 
     #[test]

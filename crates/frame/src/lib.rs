@@ -14,7 +14,6 @@
 //!   (Eq. 4),
 //! * [`cca`] — connected-component analysis (the paper's traditional
 //!   baseline and future-work RPN),
-//! * [`morphology`] — binary dilate/erode/open/close,
 //! * [`BoundingBox`] / [`PixelBox`] — the box geometry (incl. IoU, Eq. 9)
 //!   shared by the RPN, the trackers and the evaluator,
 //! * [`mod@reference`] — scalar per-pixel transcriptions of the hot kernels,
@@ -50,7 +49,6 @@ pub mod downsample;
 pub mod ebbi;
 pub mod histogram;
 pub mod median;
-pub mod morphology;
 pub mod reference;
 pub mod rle;
 

@@ -28,7 +28,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-stream bound on chunks in flight; once a session's queue is
     /// full its reader thread blocks, which propagates back-pressure to
-    /// the client socket as TCP flow control.
+    /// the client socket as TCP flow control. Must be at least 1.
     pub queue_capacity: usize,
     /// When set, every session is teed into a [`FleetArchiver`] at this
     /// directory — ingest once, replay forever.
@@ -125,6 +125,11 @@ impl IngestServer {
     ///
     /// Returns a bind/listen I/O error, or the archiver's creation
     /// error when `config.archive_dir` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.workers` or `config.queue_capacity` is zero,
+    /// like [`Engine::new`].
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         config: ServerConfig,

@@ -13,7 +13,8 @@
 # `exp_fleet --overhead` pass gates the telemetry cost: instrumented
 # sequential throughput must stay within 3% (or 10 ms absolute) of the
 # uninstrumented twin, best-of-3 — and a scheduler pass reruns the
-# jitter determinism proptest plus the oversubscription smokes.
+# jitter and attach/detach determinism proptests, the
+# oversubscription smokes and the engine failure tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,8 +28,10 @@ done
 echo "== smoke: telemetry overhead gate =="
 cargo run --release -p ebbiot_bench --bin exp_fleet -- --overhead --cameras 4 --seconds 1
 
-echo "== smoke: scheduler (jitter determinism + oversubscription) =="
-cargo test --release --test engine_determinism jittered_work_stealing_schedule_is_bit_identical
+echo "== smoke: scheduler (jitter determinism + oversubscription + failures) =="
+cargo test --release --test engine_determinism jittered_schedule_is_bit_identical
+cargo test --release --test engine_determinism random_attach_detach_interleavings_are_bit_identical
 cargo test --release -p ebbiot_engine --test scheduler
+cargo test --release -p ebbiot_engine --test failures
 
 echo "smoke_bench: all experiments passed"
