@@ -36,25 +36,25 @@ fn bench_ablations(c: &mut Criterion) {
     // --- RPN downsampling -------------------------------------------------
     group.bench_function("rpn_downsampled_s6x3", |b| {
         let mut rpn = RegionProposalNetwork::new(RpnConfig::paper_default());
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
     group.bench_function("rpn_full_resolution_s1x1", |b| {
         let mut rpn =
             RegionProposalNetwork::new(RpnConfig { s1: 1, s2: 1, ..RpnConfig::paper_default() });
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
 
     // --- Histogram vs CCA proposals ---------------------------------------
     group.bench_function("rpn_mode_histogram", |b| {
         let mut rpn = RegionProposalNetwork::new(RpnConfig::paper_default());
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
     group.bench_function("rpn_mode_cca", |b| {
         let mut rpn = RegionProposalNetwork::new(RpnConfig {
             mode: RpnMode::ConnectedComponents,
             ..RpnConfig::paper_default()
         });
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
 
     // --- Frame-domain vs event-domain denoising ---------------------------

@@ -72,7 +72,7 @@ fn bench_blocks(c: &mut Criterion) {
 
     group.bench_function("rpn_histogram", |b| {
         let mut rpn = RegionProposalNetwork::new(RpnConfig::paper_default());
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
 
     group.bench_function("rpn_cca", |b| {
@@ -80,7 +80,7 @@ fn bench_blocks(c: &mut Criterion) {
             mode: ebbiot_core::RpnMode::ConnectedComponents,
             ..RpnConfig::paper_default()
         });
-        b.iter(|| black_box(rpn.propose(black_box(&filtered))));
+        b.iter(|| black_box(rpn.propose(black_box(&filtered)).len()));
     });
 
     // Two steady proposals, matching the paper's NT ~ 2.

@@ -10,9 +10,11 @@
 //! events ─▶ EbbiAccumulator ─▶ MedianFilter ─▶ RPN ─▶ ROE ─▶ proposals
 //! ```
 //!
-//! The front-end owns **reused scratch buffers** for the EBBI readout,
-//! the denoised frame and the filtered proposal list, so a steady-state
-//! pipeline performs no per-frame frame-sized allocations. Each block
+//! The median reads the latched EBBI in place and the readout is just
+//! the latch reset, so no frame is copied. The front-end owns **reused
+//! scratch buffers** for the denoised frame and the filtered proposal
+//! list, and the RPN keeps its bins, runs and proposals as scratch too,
+//! so a warm front-end makes no heap allocation per frame. Each block
 //! keeps its own [`OpsCounter`] so the resource harness can cross-check
 //! the paper's Eqs. 1 and 5 against measured numbers.
 //!
@@ -52,8 +54,6 @@ pub struct FrontEnd {
     rpn: RegionProposalNetwork,
     roe: RegionOfExclusion,
     roe_ops: OpsCounter,
-    /// Scratch frame receiving the EBBI readout (reused every frame).
-    ebbi_scratch: BinaryImage,
     /// Scratch frame receiving the median-filtered EBBI (reused).
     denoised_scratch: BinaryImage,
     /// Scratch list receiving the ROE-filtered proposals (reused).
@@ -72,7 +72,6 @@ impl FrontEnd {
             rpn: RegionProposalNetwork::new(config.rpn),
             roe: config.roe.clone(),
             roe_ops: OpsCounter::new(),
-            ebbi_scratch: BinaryImage::new(config.geometry),
             denoised_scratch: BinaryImage::new(config.geometry),
             proposals: Vec::new(),
             telemetry: None,
@@ -92,23 +91,21 @@ impl FrontEnd {
     /// it is valid until the next call.
     pub fn process(&mut self, events: &[Event]) -> &[BoundingBox] {
         if let Some(t) = self.telemetry.clone() {
-            timed(&t.ebbi, || {
-                self.accumulator.accumulate_all(events);
-                self.accumulator.readout_into(&mut self.ebbi_scratch);
-            });
+            timed(&t.ebbi, || self.accumulator.accumulate_all(events));
             timed(&t.median, || {
-                self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
+                self.median.apply_into(self.accumulator.current(), &mut self.denoised_scratch);
+                self.accumulator.clear();
             });
             let raw = timed(&t.rpn, || self.rpn.propose(&self.denoised_scratch));
             timed(&t.roe, || {
-                self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
+                self.roe.filter_into(raw, &mut self.proposals, &mut self.roe_ops);
             });
         } else {
             self.accumulator.accumulate_all(events);
-            self.accumulator.readout_into(&mut self.ebbi_scratch);
-            self.median.apply_into(&self.ebbi_scratch, &mut self.denoised_scratch);
+            self.median.apply_into(self.accumulator.current(), &mut self.denoised_scratch);
+            self.accumulator.clear();
             let raw = self.rpn.propose(&self.denoised_scratch);
-            self.roe.filter_into(&raw, &mut self.proposals, &mut self.roe_ops);
+            self.roe.filter_into(raw, &mut self.proposals, &mut self.roe_ops);
         }
         &self.proposals
     }
@@ -165,7 +162,6 @@ impl FrontEnd {
     pub fn reset(&mut self) {
         let fresh = EbbiAccumulator::new(self.accumulator.geometry());
         self.accumulator = fresh;
-        self.ebbi_scratch.clear();
         self.denoised_scratch.clear();
         self.proposals.clear();
         self.reset_ops();

@@ -302,25 +302,7 @@ impl<T: Tracker> Pipeline<T> {
     /// relative to previous pushes), or when an event belongs to a window
     /// already emitted.
     pub fn push(&mut self, chunk: &[Event]) -> Vec<FrameResult> {
-        let mut out = Vec::new();
-        for &event in chunk {
-            assert!(
-                self.last_pushed_t.is_none_or(|t| t <= event.t),
-                "pushed events must be time-ordered across chunks"
-            );
-            self.last_pushed_t = Some(event.t);
-            let window = (event.t / self.config.frame_us) as usize;
-            assert!(
-                window >= self.next_index,
-                "event at t={} belongs to already-emitted frame {window}",
-                event.t
-            );
-            while self.next_index < window {
-                out.push(self.flush_pending_window());
-            }
-            self.pending.push(event);
-        }
-        out
+        push_windowed(self, chunk)
     }
 
     /// Ends the stream, emitting the still-open window and trailing empty
@@ -352,16 +334,6 @@ impl<T: Tracker> Pipeline<T> {
         }
         self.last_pushed_t = None;
         out
-    }
-
-    /// Emits the currently open window as a frame, reusing the pending
-    /// buffer's allocation.
-    fn flush_pending_window(&mut self) -> FrameResult {
-        let buffer = core::mem::take(&mut self.pending);
-        let result = self.process_frame(&buffer);
-        self.pending = buffer;
-        self.pending.clear();
-        result
     }
 
     /// Per-block op counters accumulated so far.
@@ -522,6 +494,105 @@ impl<T: Tracker> Pipeline<T> {
         self.active_tracker_sum = 0;
         self.pending.clear();
         self.last_pushed_t = None;
+    }
+}
+
+/// The streaming state [`push_windowed`] drives: the window length, how
+/// many frames have been emitted, the open window's buffer with the
+/// ordering cursor, and the flush that emits the open window.
+pub(crate) trait Windowed {
+    /// What one emitted window yields.
+    type Frame;
+    /// The window length `tF`.
+    fn frame_us(&self) -> Micros;
+    /// Windows emitted so far; the open window is the next one.
+    fn frames_emitted(&self) -> usize;
+    /// The open window's events and the timestamp of the last pushed
+    /// event.
+    fn open_window(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>);
+    /// Emits the open window and opens the next one.
+    fn flush_pending_window(&mut self) -> Self::Frame;
+}
+
+/// The streaming `push` of [`Pipeline`] and
+/// [`crate::TwoTimescalePipeline`]: splits `chunk` into runs that fall
+/// inside one window, found by comparing against the window's end time,
+/// and appends each run with one `extend_from_slice`. Only the first
+/// event of a run pays a division (to find its window); windows the run
+/// skips past are emitted first, empty ones included.
+///
+/// # Panics
+///
+/// Panics when events are not time-ordered (within the chunk or
+/// relative to previous pushes), or when an event belongs to a window
+/// already emitted.
+pub(crate) fn push_windowed<W: Windowed>(w: &mut W, chunk: &[Event]) -> Vec<W::Frame> {
+    let frame_us = w.frame_us();
+    let mut out = Vec::new();
+    let mut rest = chunk;
+    while let Some(first) = rest.first() {
+        let (_, last_pushed_t) = w.open_window();
+        assert!(
+            last_pushed_t.is_none_or(|t| t <= first.t),
+            "pushed events must be time-ordered across chunks"
+        );
+        let window = first.t / frame_us;
+        assert!(
+            window >= w.frames_emitted() as u64,
+            "event at t={} belongs to already-emitted frame {window}",
+            first.t
+        );
+        while (w.frames_emitted() as u64) < window {
+            out.push(w.flush_pending_window());
+        }
+        let end = (window * frame_us).saturating_add(frame_us);
+        let mut last = first.t;
+        let mut len = 1;
+        for event in &rest[1..] {
+            if event.t >= end {
+                break;
+            }
+            assert!(last <= event.t, "pushed events must be time-ordered across chunks");
+            last = event.t;
+            len += 1;
+        }
+        let (pending, last_pushed_t) = w.open_window();
+        // Grow to the next power of two, as one push per event would: the
+        // buffer then follows the busiest window, whatever the chunking.
+        let needed = pending.len() + len;
+        if needed > pending.capacity() {
+            pending.reserve_exact(needed.next_power_of_two() - pending.len());
+        }
+        pending.extend_from_slice(&rest[..len]);
+        *last_pushed_t = Some(last);
+        rest = &rest[len..];
+    }
+    out
+}
+
+impl<T: Tracker> Windowed for Pipeline<T> {
+    type Frame = FrameResult;
+
+    fn frame_us(&self) -> Micros {
+        self.config.frame_us
+    }
+
+    fn frames_emitted(&self) -> usize {
+        self.next_index
+    }
+
+    fn open_window(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
+        (&mut self.pending, &mut self.last_pushed_t)
+    }
+
+    /// Emits the open window as a frame, reusing the pending buffer's
+    /// allocation.
+    fn flush_pending_window(&mut self) -> FrameResult {
+        let buffer = core::mem::take(&mut self.pending);
+        let result = self.process_frame(&buffer);
+        self.pending = buffer;
+        self.pending.clear();
+        result
     }
 }
 
@@ -767,6 +838,22 @@ mod tests {
         let mut p = pipeline();
         let _ = p.push(&[Event::on(10, 10, 70_000)]);
         let _ = p.push(&[Event::on(10, 10, 69_000)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pushed events must be time-ordered across chunks")]
+    fn out_of_order_events_inside_one_window_panic() {
+        let mut p = pipeline();
+        let _ = p.push(&[Event::on(10, 10, 1_000), Event::on(10, 10, 900)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event at t=10 belongs to already-emitted frame 0")]
+    fn events_for_emitted_windows_panic_after_finish() {
+        let mut p = pipeline();
+        let _ = p.push(&[Event::on(10, 10, 70_000)]);
+        let _ = p.finish(0);
+        let _ = p.push(&[Event::on(10, 10, 10)]);
     }
 
     #[test]

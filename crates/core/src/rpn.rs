@@ -6,21 +6,32 @@
 //! from partial cells are clamped back to the frame), project `H_X` and
 //! `H_Y` (Eq. 4), find contiguous runs at or above a threshold (the paper
 //! sets it to 1), and propose the Cartesian intersections of X-runs and
-//! Y-runs as regions. When multiple runs exist
-//! on *both* axes, the product contains false intersections; the paper
-//! prescribes "a check ... in the original image to see if there are any
-//! valid pixels in that region" — we check the downsampled count image,
-//! which contains exactly the same information at `1/(s1*s2)` the cost.
+//! Y-runs as regions. When multiple runs exist on *both* axes, the
+//! product contains false intersections; as the paper prescribes, each
+//! candidate is checked "in the original image to see if there are any
+//! valid pixels in that region" ([`BinaryImage::any_in_box`] over the
+//! candidate's cells, clamped to the frame).
+//!
+//! In histogram mode the downsample and the projections are one pass:
+//! [`Histogram::project_blocks`] adds the image's rows into bit-sliced
+//! band planes, skips every band word and cell that holds no set pixel
+//! (the per-frame cost follows the set words of the frame, with
+//! software popcounts only for occupied cells), and accumulates `H_X`
+//! and `H_Y` straight from the cells — no count image is formed. The
+//! bins, runs and proposal list are scratch reused across frames, so
+//! [`RegionProposalNetwork::propose`] allocates nothing per frame and
+//! returns a borrowed slice. The op counter still charges the paper's
+//! logical Eq. 5 ops for every pixel, cell and bin.
 //!
 //! [`RpnMode::ConnectedComponents`] implements the paper's stated future
 //! work (a general CCA-based proposer, for scenes that are not side views)
-//! on the same interface.
+//! on the same interface; it labels a [`CountImage`].
 
 use ebbiot_events::OpsCounter;
 use ebbiot_frame::{
     cca::{connected_components, Connectivity},
-    histogram::{Axis, Histogram},
-    BinaryImage, BoundingBox, CountImage,
+    histogram::{Axis, Histogram, Run},
+    BinaryImage, BoundingBox, CountImage, PixelBox,
 };
 
 /// Which proposal algorithm to run.
@@ -92,6 +103,16 @@ impl RpnConfig {
 pub struct RegionProposalNetwork {
     config: RpnConfig,
     ops: OpsCounter,
+    /// `H_X` of the last frame (reused scratch).
+    hx: Histogram,
+    /// `H_Y` of the last frame (reused scratch).
+    hy: Histogram,
+    /// Runs of `hx` (reused scratch).
+    x_runs: Vec<Run>,
+    /// Runs of `hy` (reused scratch).
+    y_runs: Vec<Run>,
+    /// Proposals of the last frame (reused scratch).
+    proposals: Vec<BoundingBox>,
 }
 
 impl RegionProposalNetwork {
@@ -104,7 +125,15 @@ impl RegionProposalNetwork {
     pub fn new(config: RpnConfig) -> Self {
         assert!(config.s1 > 0 && config.s2 > 0, "scale factors must be non-zero");
         assert!(config.threshold > 0, "threshold must be non-zero");
-        Self { config, ops: OpsCounter::new() }
+        Self {
+            config,
+            ops: OpsCounter::new(),
+            hx: Histogram::default(),
+            hy: Histogram::default(),
+            x_runs: Vec::new(),
+            y_runs: Vec::new(),
+            proposals: Vec::new(),
+        }
     }
 
     /// The configuration.
@@ -114,131 +143,95 @@ impl RegionProposalNetwork {
     }
 
     /// Proposes regions for one denoised EBBI.
-    #[must_use]
-    pub fn propose(&mut self, image: &BinaryImage) -> Vec<BoundingBox> {
-        let frame = (image.width(), image.height());
-        let scaled = CountImage::downsample(image, self.config.s1, self.config.s2, &mut self.ops);
-        let proposals = match self.config.mode {
-            RpnMode::Histogram => self.propose_histogram(&scaled, frame),
-            RpnMode::ConnectedComponents => self.propose_cca(&scaled, frame),
-        };
-        self.refine_all(image, proposals)
+    ///
+    /// The returned slice borrows the network's scratch list; it is valid
+    /// until the next call. Histogram mode allocates nothing once the
+    /// scratch has grown to the frame's needs.
+    pub fn propose(&mut self, image: &BinaryImage) -> &[BoundingBox] {
+        let (s1, s2) = (self.config.s1, self.config.s2);
+        self.proposals.clear();
+        match self.config.mode {
+            RpnMode::Histogram => {
+                Histogram::project_blocks(image, s1, s2, &mut self.hx, &mut self.hy, &mut self.ops);
+                self.intersect_runs(image, |rx, ry| {
+                    image.any_in_box(&cells_to_pixels(rx, ry, s1, s2, image))
+                });
+            }
+            RpnMode::ConnectedComponents => {
+                let scaled = CountImage::downsample(image, s1, s2, &mut self.ops);
+                self.propose_cca(&scaled, image);
+            }
+        }
+        self.refine_all(image);
+        &self.proposals
     }
 
     /// Proposes regions and also returns the intermediate downsampled
     /// image and histograms (for visualization, e.g. regenerating Fig. 3).
+    /// Same proposals and op charges as [`Self::propose`] in histogram
+    /// mode, computed through a [`CountImage`]: the false-intersection
+    /// check reads the count image's cells instead of the binary image.
     pub fn propose_with_intermediates(
         &mut self,
         image: &BinaryImage,
     ) -> (Vec<BoundingBox>, CountImage, Histogram, Histogram) {
-        let frame = (image.width(), image.height());
         let scaled = CountImage::downsample(image, self.config.s1, self.config.s2, &mut self.ops);
-        let hx = Histogram::project(&scaled, Axis::X, &mut self.ops);
-        let hy = Histogram::project(&scaled, Axis::Y, &mut self.ops);
-        let proposals = self.intersect_runs(&scaled, &hx, &hy, frame);
-        let proposals = self.refine_all(image, proposals);
-        (proposals, scaled, hx, hy)
+        self.hx = Histogram::project(&scaled, Axis::X, &mut self.ops);
+        self.hy = Histogram::project(&scaled, Axis::Y, &mut self.ops);
+        self.proposals.clear();
+        self.intersect_runs(image, |rx, ry| {
+            scaled.any_nonzero_in(rx.start as u16, rx.end as u16, ry.start as u16, ry.end as u16)
+        });
+        self.refine_all(image);
+        (self.proposals.clone(), scaled, self.hx.clone(), self.hy.clone())
     }
 
     /// Tightens cell-aligned proposals to the bounding box of the set
-    /// pixels inside them (when [`RpnConfig::refine_boxes`] is on).
-    fn refine_all(&mut self, image: &BinaryImage, proposals: Vec<BoundingBox>) -> Vec<BoundingBox> {
+    /// pixels inside them (when [`RpnConfig::refine_boxes`] is on),
+    /// dropping those that turn out empty or fall below the area floor.
+    fn refine_all(&mut self, image: &BinaryImage) {
         if !self.config.refine_boxes {
-            return proposals;
+            return;
         }
         let min_area = self.config.min_area;
-        proposals
-            .into_iter()
-            .filter_map(|b| self.refine(image, &b))
-            .filter(|b| b.area() >= min_area)
-            .collect()
-    }
-
-    /// Bounding box of set pixels inside the proposal, or `None` when the
-    /// region is actually empty. Scans word-parallel: only the set bits
-    /// of each covered row are visited (empty words are skipped), while
-    /// the op accounting keeps the paper's logical one-comparison-per-
-    /// region-pixel charge.
-    fn refine(&mut self, image: &BinaryImage, b: &BoundingBox) -> Option<BoundingBox> {
-        let x0 = b.x.max(0.0) as u16;
-        let y0 = b.y.max(0.0) as u16;
-        let x1 = (b.x_max().ceil().max(0.0) as u16).min(image.width());
-        let y1 = (b.y_max().ceil().max(0.0) as u16).min(image.height());
-        self.ops.compare(u64::from(x1.saturating_sub(x0)) * u64::from(y1.saturating_sub(y0)));
-        let mut min_x = u16::MAX;
-        let mut min_y = u16::MAX;
-        let mut max_x = 0u16;
-        let mut max_y = 0u16;
-        let mut any = false;
-        for y in y0..y1 {
-            for x in image.set_pixels_in_row(y).skip_while(|&x| x < x0).take_while(|&x| x < x1) {
-                any = true;
-                min_x = min_x.min(x);
-                min_y = min_y.min(y);
-                max_x = max_x.max(x);
-                max_y = max_y.max(y);
+        let ops = &mut self.ops;
+        self.proposals.retain_mut(|b| match refine(image, b, ops) {
+            Some(tight) if tight.area() >= min_area => {
+                *b = tight;
+                true
             }
-        }
-        if !any {
-            return None;
-        }
-        Some(BoundingBox::from_corners(
-            f32::from(min_x),
-            f32::from(min_y),
-            f32::from(max_x) + 1.0,
-            f32::from(max_y) + 1.0,
-        ))
+            _ => false,
+        });
     }
 
-    fn propose_histogram(&mut self, scaled: &CountImage, frame: (u16, u16)) -> Vec<BoundingBox> {
-        let hx = Histogram::project(scaled, Axis::X, &mut self.ops);
-        let hy = Histogram::project(scaled, Axis::Y, &mut self.ops);
-        self.intersect_runs(scaled, &hx, &hy, frame)
-    }
-
-    fn intersect_runs(
-        &mut self,
-        scaled: &CountImage,
-        hx: &Histogram,
-        hy: &Histogram,
-        frame: (u16, u16),
-    ) -> Vec<BoundingBox> {
-        let x_runs = hx.runs_at_least(self.config.threshold, &mut self.ops);
-        let y_runs = hy.runs_at_least(self.config.threshold, &mut self.ops);
+    /// Appends the Cartesian intersections of the X- and Y-runs of the
+    /// current `hx`/`hy` to the proposal list. `occupied(rx, ry)` answers
+    /// the false-intersection check for one candidate's cells.
+    fn intersect_runs(&mut self, image: &BinaryImage, occupied: impl Fn(Run, Run) -> bool) {
+        let Self { config, ops, hx, hy, x_runs, y_runs, proposals } = self;
+        hx.runs_into(config.threshold, x_runs, ops);
+        hy.runs_into(config.threshold, y_runs, ops);
         let ambiguous = x_runs.len() > 1 && y_runs.len() > 1;
-        let mut proposals = Vec::with_capacity(x_runs.len() * y_runs.len());
-        for rx in &x_runs {
-            for ry in &y_runs {
+        for &rx in x_runs.iter() {
+            for &ry in y_runs.iter() {
                 // False intersections only arise when both axes have
-                // multiple runs; validate those against the count image.
+                // multiple runs; validate those in the original image.
                 if ambiguous {
-                    self.ops.compare(1);
-                    if !scaled.any_nonzero_in(
-                        rx.start as u16,
-                        rx.end as u16,
-                        ry.start as u16,
-                        ry.end as u16,
-                    ) {
+                    ops.compare(1);
+                    if !occupied(rx, ry) {
                         continue;
                     }
                 }
-                let bbox = self.cells_to_box(
-                    rx.start as u16,
-                    rx.end as u16,
-                    ry.start as u16,
-                    ry.end as u16,
-                    frame,
-                );
-                self.ops.compare(1);
-                if bbox.area() >= self.config.min_area {
+                let bbox = cells_to_pixels(rx, ry, config.s1, config.s2, image).to_bounding_box();
+                ops.compare(1);
+                if bbox.area() >= config.min_area {
                     proposals.push(bbox);
                 }
             }
         }
-        proposals
     }
 
-    fn propose_cca(&mut self, scaled: &CountImage, frame: (u16, u16)) -> Vec<BoundingBox> {
+    fn propose_cca(&mut self, scaled: &CountImage, image: &BinaryImage) {
         // Binarize the count image at the threshold, then label.
         let geom =
             ebbiot_events::SensorGeometry::new(scaled.width().max(1), scaled.height().max(1));
@@ -252,33 +245,15 @@ impl RegionProposalNetwork {
                 }
             }
         }
-        let comps = connected_components(&binary, Connectivity::Eight, &mut self.ops);
-        comps
-            .into_iter()
-            .map(|c| {
-                self.cells_to_box(c.bbox.x_min, c.bbox.x_max, c.bbox.y_min, c.bbox.y_max, frame)
-            })
-            .filter(|b| b.area() >= self.config.min_area)
-            .collect()
-    }
-
-    /// Converts a half-open cell rectangle back to full-resolution pixels,
-    /// clamping to the frame: a trailing *partial* cell (non-divisible
-    /// geometry, Eq. 3 extension) maps to only the pixels that exist.
-    fn cells_to_box(
-        &self,
-        i_min: u16,
-        i_max: u16,
-        j_min: u16,
-        j_max: u16,
-        frame: (u16, u16),
-    ) -> BoundingBox {
-        BoundingBox::from_corners(
-            f32::from(i_min) * f32::from(self.config.s1),
-            f32::from(j_min) * f32::from(self.config.s2),
-            (f32::from(i_max) * f32::from(self.config.s1)).min(f32::from(frame.0)),
-            (f32::from(j_max) * f32::from(self.config.s2)).min(f32::from(frame.1)),
-        )
+        let (s1, s2) = (self.config.s1, self.config.s2);
+        for c in connected_components(&binary, Connectivity::Eight, &mut self.ops) {
+            let rx = Run { start: usize::from(c.bbox.x_min), end: usize::from(c.bbox.x_max) };
+            let ry = Run { start: usize::from(c.bbox.y_min), end: usize::from(c.bbox.y_max) };
+            let bbox = cells_to_pixels(rx, ry, s1, s2, image).to_bounding_box();
+            if bbox.area() >= self.config.min_area {
+                self.proposals.push(bbox);
+            }
+        }
     }
 
     /// Runtime op counter.
@@ -297,6 +272,35 @@ impl RegionProposalNetwork {
     pub fn reset_ops(&mut self) {
         self.ops.reset();
     }
+}
+
+/// Converts a half-open cell rectangle back to full-resolution pixels,
+/// clamping to the frame: a trailing *partial* cell (non-divisible
+/// geometry, Eq. 3 extension) maps to only the pixels that exist.
+fn cells_to_pixels(rx: Run, ry: Run, s1: u16, s2: u16, image: &BinaryImage) -> PixelBox {
+    let clamp = |cell: usize, s: u16, limit: u16| (cell * usize::from(s)).min(usize::from(limit));
+    PixelBox::new(
+        clamp(rx.start, s1, image.width()) as u16,
+        clamp(ry.start, s2, image.height()) as u16,
+        clamp(rx.end, s1, image.width()) as u16,
+        clamp(ry.end, s2, image.height()) as u16,
+    )
+}
+
+/// Bounding box of set pixels inside the proposal, or `None` when the
+/// region is actually empty. Each covered row seeks to the words of the
+/// box and reads only their extreme set bits, while the op accounting
+/// keeps the paper's logical one-comparison-per-region-pixel charge.
+fn refine(image: &BinaryImage, b: &BoundingBox, ops: &mut OpsCounter) -> Option<BoundingBox> {
+    let x0 = b.x.max(0.0) as u16;
+    let y0 = b.y.max(0.0) as u16;
+    let x1 = (b.x_max().ceil().max(0.0) as u16).min(image.width());
+    let y1 = (b.y_max().ceil().max(0.0) as u16).min(image.height());
+    ops.compare(u64::from(x1.saturating_sub(x0)) * u64::from(y1.saturating_sub(y0)));
+    if x0 >= x1 || y0 >= y1 {
+        return None;
+    }
+    image.set_bounds_in(&PixelBox::new(x0, y0, x1, y1)).map(|p| p.to_bounding_box())
 }
 
 #[cfg(test)]
@@ -323,7 +327,7 @@ mod tests {
     fn paper_default_proposals_are_cell_aligned() {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(61, 91, 99, 107));
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 1);
         let p = &proposals[0];
         assert!(p.x % 6.0 == 0.0 && p.y % 3.0 == 0.0, "cell aligned");
@@ -360,7 +364,7 @@ mod tests {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(60, 90, 64, 108)); // rear edge cluster
         img.fill_box(&PixelBox::new(68, 90, 72, 108)); // front edge cluster
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 1, "mini-regions merged by coarse histogram");
     }
 
@@ -369,7 +373,7 @@ mod tests {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(30, 90, 60, 105));
         img.fill_box(&PixelBox::new(150, 90, 190, 105));
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 2);
     }
 
@@ -380,7 +384,7 @@ mod tests {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(30, 30, 60, 45));
         img.fill_box(&PixelBox::new(150, 120, 190, 140));
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 2, "diagonal ghosts removed");
     }
 
@@ -406,7 +410,7 @@ mod tests {
         img.fill_box(&PixelBox::new(30, 120, 60, 135));
         img.fill_box(&PixelBox::new(150, 30, 190, 45));
         let mut hist = rpn();
-        let hist_props = hist.propose(&img);
+        let hist_props = hist.propose(&img).to_vec();
         // Histogram mode proposes the 2x2 product minus the empty corner = 3.
         assert_eq!(hist_props.len(), 3);
         let mut cca = RegionProposalNetwork::new(RpnConfig {
@@ -420,7 +424,7 @@ mod tests {
     fn min_area_floor_drops_specks() {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(100, 100, 102, 102)); // 2x2 speck
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert!(proposals.is_empty(), "6x3 px cell-proposal below 40 px^2 floor");
     }
 
@@ -456,7 +460,7 @@ mod tests {
     fn proposals_never_exceed_frame() {
         let mut img = davis_image();
         img.fill_box(&PixelBox::new(228, 168, 240, 180)); // bottom-right corner
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 1);
         let p = &proposals[0];
         assert!(p.x_max() <= 240.0 && p.y_max() <= 180.0);
@@ -469,7 +473,7 @@ mod tests {
         // no proposal at all. Partial edge cells fix that blind strip.
         let mut img = BinaryImage::new(SensorGeometry::davis346());
         img.fill_box(&PixelBox::new(342, 100, 346, 118));
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 1, "edge-hugging object must be proposed");
         let p = &proposals[0];
         assert!(p.x >= 336.0 && p.x_max() <= 346.0, "clamped to the frame: {p}");
@@ -478,7 +482,7 @@ mod tests {
         // Same for the 2-pixel bottom strip (260 = 86 * 3 + 2).
         let mut img = BinaryImage::new(SensorGeometry::davis346());
         img.fill_box(&PixelBox::new(100, 258, 130, 260));
-        let proposals = rpn().propose(&img);
+        let proposals = rpn().propose(&img).to_vec();
         assert_eq!(proposals.len(), 1, "bottom-edge object must be proposed");
         let p = &proposals[0];
         assert!(p.y_max() <= 260.0 && p.y_max() > 258.0, "clamped, covers the strip: {p}");

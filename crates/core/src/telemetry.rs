@@ -28,9 +28,10 @@ pub const STAGES: [&str; 5] = ["ebbi", "median", "rpn", "roe", "tracker"];
 /// of a fleet — or registered per stream — as the caller prefers.
 #[derive(Debug, Clone)]
 pub struct StageTelemetry {
-    /// EBBI accumulate + readout.
+    /// EBBI accumulation (latching the window's events).
     pub ebbi: Arc<Histogram>,
-    /// Median denoising.
+    /// Median denoising of the latched frame, then the latch reset that
+    /// completes the readout.
     pub median: Arc<Histogram>,
     /// Region proposal.
     pub rpn: Arc<Histogram>,

@@ -20,7 +20,7 @@ use ebbiot_events::{Event, Micros, Timestamp};
 
 use crate::{
     config::EbbiotConfig,
-    pipeline::{EbbiotPipeline, FrameResult, Pipeline, TrackBox},
+    pipeline::{push_windowed, EbbiotPipeline, FrameResult, Pipeline, TrackBox, Windowed},
     tracker::OverlapTracker,
 };
 
@@ -167,25 +167,7 @@ impl TwoTimescalePipeline {
     /// Panics when events are not time-ordered across pushes or belong
     /// to an already-emitted fast frame.
     pub fn push(&mut self, chunk: &[Event]) -> Vec<TwoTimescaleResult> {
-        let mut out = Vec::new();
-        for &event in chunk {
-            assert!(
-                self.last_pushed_t.is_none_or(|t| t <= event.t),
-                "pushed events must be time-ordered across chunks"
-            );
-            self.last_pushed_t = Some(event.t);
-            let window = (event.t / self.config.fast.frame_us) as usize;
-            assert!(
-                window >= self.frames_emitted(),
-                "event at t={} belongs to already-emitted frame {window}",
-                event.t
-            );
-            while self.frames_emitted() < window {
-                out.push(self.flush_pending_window());
-            }
-            self.pending.push(event);
-        }
-        out
+        push_windowed(self, chunk)
     }
 
     /// Ends the stream, emitting the open fast window plus trailing empty
@@ -200,20 +182,6 @@ impl TwoTimescalePipeline {
         }
         self.last_pushed_t = None;
         out
-    }
-
-    /// Fast frames emitted so far, by either drive path — the fast
-    /// pipeline's counter is the single authority.
-    fn frames_emitted(&self) -> usize {
-        self.fast.frames_processed()
-    }
-
-    fn flush_pending_window(&mut self) -> TwoTimescaleResult {
-        let buffer = core::mem::take(&mut self.pending);
-        let result = self.process_frame(&buffer);
-        self.pending = buffer;
-        self.pending.clear();
-        result
     }
 
     /// Access to the underlying fast pipeline (ops, statistics).
@@ -302,6 +270,32 @@ impl TwoTimescalePipeline {
         self.held_slow_tracks.clear();
         self.pending.clear();
         self.last_pushed_t = None;
+    }
+}
+
+impl Windowed for TwoTimescalePipeline {
+    type Frame = TwoTimescaleResult;
+
+    fn frame_us(&self) -> Micros {
+        self.config.fast.frame_us
+    }
+
+    /// Fast frames emitted so far, by either drive path — the fast
+    /// pipeline's counter is the single authority.
+    fn frames_emitted(&self) -> usize {
+        self.fast.frames_processed()
+    }
+
+    fn open_window(&mut self) -> (&mut Vec<Event>, &mut Option<Timestamp>) {
+        (&mut self.pending, &mut self.last_pushed_t)
+    }
+
+    fn flush_pending_window(&mut self) -> TwoTimescaleResult {
+        let buffer = core::mem::take(&mut self.pending);
+        let result = self.process_frame(&buffer);
+        self.pending = buffer;
+        self.pending.clear();
+        result
     }
 }
 

@@ -151,7 +151,7 @@ proptest! {
         let mut refined = RegionProposalNetwork::new(RpnConfig::refined());
         let raw_props = raw.propose(&img);
         for rp in refined.propose(&img) {
-            let contained = raw_props.iter().any(|p| p.intersection_area(&rp) >= 0.99 * rp.area());
+            let contained = raw_props.iter().any(|p| p.intersection_area(rp) >= 0.99 * rp.area());
             prop_assert!(contained);
         }
     }
@@ -268,6 +268,52 @@ proptest! {
         } else {
             prop_assert_eq!(streamed.len(), 1, "empty stream pads to the span");
         }
+    }
+
+    #[test]
+    fn window_runs_across_time_jumps_match_batch(
+        bursts in proptest::collection::vec(
+            (0u64..40, proptest::collection::vec((0..SW, 0..SH, 0u64..4), 0..30)),
+            1..6,
+        ),
+        sizes in proptest::collection::vec(0usize..50, 0..16),
+    ) {
+        // Bursts separated by jumps of up to 40 windows, with events
+        // exactly at `k * tF` and on the window's last instant: a run
+        // may cross many windows at once, so `push` must emit every
+        // skipped empty window before the run lands, for both pipelines.
+        let mut events = Vec::new();
+        let mut window = 0;
+        for (jump, specs) in bursts {
+            window += jump;
+            events.extend(specs.into_iter()
+                .map(|(x, y, kind)| {
+                    let offset = match kind {
+                        0 => 0,
+                        1 => FRAME_US - 1,
+                        2 => FRAME_US, // the next window's first instant
+                        _ => u64::from(x) * 997 % FRAME_US,
+                    };
+                Event::on(x, y, window * FRAME_US + offset)
+            }));
+        }
+        ebbiot_events::stream::sort_by_time(&mut events);
+        let span_us = (window + 2) * FRAME_US;
+        let expected = streaming_pipeline().process_recording(&events, span_us);
+        prop_assert_eq!(stream_in_chunks(&events, &sizes, span_us), expected);
+
+        let expected = two_timescale_pipeline().process_recording(&events, span_us);
+        let mut pipeline = two_timescale_pipeline();
+        let mut streamed = Vec::new();
+        let mut offset = 0;
+        for &size in &sizes {
+            let take = size.min(events.len() - offset);
+            streamed.extend(pipeline.push(&events[offset..offset + take]));
+            offset += take;
+        }
+        streamed.extend(pipeline.push(&events[offset..]));
+        streamed.extend(pipeline.finish(span_us));
+        prop_assert_eq!(streamed, expected);
     }
 
     // -- two-timescale composite: chunking and checkpoint invariance --

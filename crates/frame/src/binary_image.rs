@@ -76,6 +76,12 @@ impl BinaryImage {
         &self.words[start..start + self.words_per_row]
     }
 
+    /// All words, row-major (`words_per_row` per row), for in-crate
+    /// kernels that walk bands of rows.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Mutable access to the words of row `y` for in-crate kernels.
     /// Writers must uphold the tail-bit invariant.
     pub(crate) fn row_words_mut(&mut self, y: u16) -> &mut [u64] {
@@ -293,6 +299,47 @@ impl BinaryImage {
             }
         }
         false
+    }
+
+    /// The bounding box of the set pixels inside the pixel box (exclusive
+    /// max corner, clipped to the array), or `None` when it holds none.
+    /// Each covered row seeks straight to the words of the box and reads
+    /// only the lowest and highest set bit of each masked word.
+    #[must_use]
+    pub fn set_bounds_in(&self, b: &PixelBox) -> Option<PixelBox> {
+        let x_end = b.x_max.min(self.width());
+        let y_end = b.y_max.min(self.height());
+        if b.x_min >= x_end || b.y_min >= y_end {
+            return None;
+        }
+        let w0 = b.x_min as usize >> 6;
+        let w1 = (x_end as usize - 1) >> 6;
+        let first = !0u64 << (u32::from(b.x_min) & 63);
+        let last = Self::below_mask(x_end);
+        let mut bounds: Option<PixelBox> = None;
+        for y in b.y_min..y_end {
+            let row = &self.row_words(y)[w0..=w1];
+            for (k, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                if k == 0 {
+                    bits &= first;
+                }
+                if k == w1 - w0 {
+                    bits &= last;
+                }
+                if bits == 0 {
+                    continue;
+                }
+                let base = ((w0 + k) * 64) as u16;
+                let lo = base + bits.trailing_zeros() as u16;
+                let hi = base + 64 - bits.leading_zeros() as u16;
+                bounds = Some(match bounds {
+                    None => PixelBox::new(lo, y, hi, y + 1),
+                    Some(p) => PixelBox::new(p.x_min.min(lo), p.y_min, p.x_max.max(hi), y + 1),
+                });
+            }
+        }
+        bounds
     }
 
     /// Paints a filled rectangle of ones (used by tests and the simulator)

@@ -12,11 +12,34 @@
 //! with `s1 = 6`, `s2 = 3` the division is exact and the result is
 //! bit-identical to Eq. 3.
 //!
-//! The kernel is word-parallel over the row-aligned [`BinaryImage`]: each
-//! input row contributes one masked-span popcount per cell instead of a
-//! per-pixel scan. Op accounting keeps the paper's logical Eq. 5 charge —
-//! one addition per input pixel and one write per cell — regardless of
-//! the physical instruction count.
+//! # The band kernel
+//!
+//! One kernel, `for_each_cell_count`, serves every `(s1, s2)` and both
+//! consumers (this count image and the RPN's direct projections in
+//! [`crate::Histogram::project_blocks`]). Its cost follows the set words
+//! of the input, not its area:
+//!
+//! * **Band planes.** The `s2` rows of a band are added vertically, one
+//!   word column at a time, into bit-sliced count planes with
+//!   carry-save adds: plane `k` holds bit `k` of each column's count,
+//!   so `ceil(log2(s2 + 1))` planes suffice. All-zero row words are
+//!   skipped before the add.
+//! * **Zero skip.** The OR of the band's words in a column says which
+//!   columns hold anything. A column whose OR-word is zero is skipped
+//!   whole, and so is each cell whose bits under the OR-word are zero;
+//!   neither is touched again. An empty band costs one load and one test
+//!   per word.
+//! * **Cell counts.** A remaining cell's count is
+//!   `Σ_k popcount(plane_k & mask) << k`, one masked popcount per plane.
+//!   Cells that straddle a word boundary (or are wider than a word,
+//!   `s1 > 64`) receive one partial count per word they touch. The
+//!   popcount is whatever `u64::count_ones` compiles to: without a
+//!   `target-cpu` it is a software (SWAR) sequence of a dozen
+//!   instructions, which is why visiting fewer cells is what pays.
+//!
+//! Op accounting keeps the paper's logical Eq. 5 charge — one addition
+//! per input pixel and one write per cell — regardless of the physical
+//! instruction count or of how many cells the zero skip passed over.
 
 use ebbiot_events::OpsCounter;
 
@@ -49,44 +72,9 @@ impl CountImage {
     /// Panics when either factor is zero or exceeds the image dimension.
     #[must_use]
     pub fn downsample(input: &BinaryImage, s1: u16, s2: u16, ops: &mut OpsCounter) -> Self {
-        assert!(s1 > 0 && s2 > 0, "scale factors must be non-zero");
-        assert!(s1 <= input.width() && s2 <= input.height(), "scale factors larger than the image");
-        let width = input.width().div_ceil(s1);
-        let height = input.height().div_ceil(s2);
-        let a = u32::from(input.width());
+        let (width, height) = cell_grid(input, s1, s2);
         let mut data = vec![0u32; width as usize * height as usize];
-        if s1 <= 64 {
-            // Rolling bit cursor: each cell's row slice is at most one
-            // word-straddling extraction plus a popcount.
-            let full_mask = if s1 == 64 { !0u64 } else { (1u64 << s1) - 1 };
-            for y in 0..input.height() {
-                let row = input.row_words(y);
-                let base = (y / s2) as usize * width as usize;
-                let mut bit = 0u32;
-                for cell in &mut data[base..base + width as usize] {
-                    let span = u32::from(s1).min(a - bit);
-                    let w0 = (bit >> 6) as usize;
-                    let off = bit & 63;
-                    let mut bits = row[w0] >> off;
-                    if off + span > 64 {
-                        bits |= row[w0 + 1] << (64 - off);
-                    }
-                    let mask = if span == u32::from(s1) { full_mask } else { (1u64 << span) - 1 };
-                    *cell += (bits & mask).count_ones();
-                    bit += u32::from(s1);
-                }
-            }
-        } else {
-            // Blocks wider than a word: masked multi-word span popcounts.
-            for y in 0..input.height() {
-                let base = (y / s2) as usize * width as usize;
-                for i in 0..width {
-                    let x0 = i * s1;
-                    let x1 = (u32::from(x0) + u32::from(s1)).min(a) as u16;
-                    data[base + i as usize] += input.count_in_row_span(y, x0, x1);
-                }
-            }
-        }
+        for_each_cell_count(input, s1, s2, |i, j, n| data[j * width as usize + i] += n);
         // Logical Eq. 5 accounting: every input pixel belongs to exactly
         // one block, so the block sums cost one addition per input pixel;
         // one memory write per cell.
@@ -156,6 +144,84 @@ impl CountImage {
         // ceil(log2(n)) for n >= 2 is the bit length of n - 1; clamp to >= 1.
         let bits_per_cell = if n <= 1 { 1 } else { (32 - (n - 1).leading_zeros()) as usize };
         self.width as usize * self.height as usize * bits_per_cell
+    }
+}
+
+/// The cell grid `ceil(A / s1) x ceil(B / s2)` of a downsampling.
+///
+/// # Panics
+///
+/// Panics when either factor is zero or exceeds the image dimension.
+pub(crate) fn cell_grid(input: &BinaryImage, s1: u16, s2: u16) -> (u16, u16) {
+    assert!(s1 > 0 && s2 > 0, "scale factors must be non-zero");
+    assert!(s1 <= input.width() && s2 <= input.height(), "scale factors larger than the image");
+    (input.width().div_ceil(s1), input.height().div_ceil(s2))
+}
+
+/// The band kernel (see the module docs): calls `visit(i, j, n)` with the
+/// set-pixel count `n > 0` of the part of cell `(i, j)` that lies in one
+/// word column, for every such part that is non-empty. A cell that spans
+/// several word columns is visited once per non-empty part, so summing
+/// the visits per cell gives its block sum; cells with no set pixel are
+/// never visited. Bands and cells run in row-major order.
+///
+/// Factors must be valid for [`cell_grid`], which the callers check.
+#[inline]
+pub(crate) fn for_each_cell_count(
+    input: &BinaryImage,
+    s1: u16,
+    s2: u16,
+    mut visit: impl FnMut(usize, usize, u32),
+) {
+    let words_per_row = input.words_per_row();
+    let width = usize::from(input.width());
+    let s1 = usize::from(s1);
+    // ceil(log2(s2 + 1)): the bit length of the largest column count.
+    let planes_used = (u16::BITS - s2.leading_zeros()) as usize;
+    let mut planes = [0u64; u16::BITS as usize];
+    for (j, band) in input.words().chunks(words_per_row * usize::from(s2)).enumerate() {
+        for w in 0..words_per_row {
+            let planes = &mut planes[..planes_used];
+            planes.fill(0);
+            let mut any = 0u64;
+            for &word in band[w..].iter().step_by(words_per_row) {
+                if word == 0 {
+                    continue;
+                }
+                any |= word;
+                // Carry-save add of one row word into the column counts.
+                let mut carry = word;
+                for plane in planes.iter_mut() {
+                    let next = *plane & carry;
+                    *plane ^= carry;
+                    carry = next;
+                    if carry == 0 {
+                        break;
+                    }
+                }
+            }
+            if any == 0 {
+                continue;
+            }
+            let lo = w * 64;
+            let hi = (lo + 64).min(width);
+            let mut i = lo / s1;
+            let mut x0 = i * s1;
+            while x0 < hi {
+                let x1 = (x0 + s1).min(hi);
+                let start = x0.max(lo) - lo;
+                let mask = (!0u64 >> (64 - (x1 - lo - start))) << start;
+                if any & mask != 0 {
+                    let mut n = 0u32;
+                    for (k, plane) in planes.iter().enumerate() {
+                        n += (plane & mask).count_ones() << k;
+                    }
+                    visit(i, j, n);
+                }
+                i += 1;
+                x0 += s1;
+            }
+        }
     }
 }
 

@@ -118,6 +118,16 @@ impl EbbiAccumulator {
         self.pixels_latched = 0;
     }
 
+    /// Resets the latches without copying the frame out — the readout of
+    /// a caller that has already consumed [`Self::current`] in place
+    /// (the streaming front-end median-filters the latched frame
+    /// directly). A word fill, like the reset in [`Self::readout_into`].
+    pub fn clear(&mut self) {
+        self.image.clear();
+        self.events_seen = 0;
+        self.pixels_latched = 0;
+    }
+
     /// Peek at the partially accumulated frame without resetting.
     #[must_use]
     pub fn current(&self) -> &BinaryImage {
@@ -210,6 +220,18 @@ mod tests {
         assert_eq!(acc.beta(), 0.0);
         let second = acc.readout();
         assert_eq!(second.count_ones(), 0, "latches cleared by readout");
+    }
+
+    #[test]
+    fn clear_resets_like_readout_without_the_copy() {
+        let mut acc = EbbiAccumulator::new(geom());
+        acc.accumulate(&Event::on(1, 1, 0));
+        acc.accumulate(&Event::on(1, 1, 5));
+        let ops = *acc.ops();
+        acc.clear();
+        assert_eq!(acc.current().count_ones(), 0, "latches cleared");
+        assert_eq!((acc.events_seen(), acc.pixels_latched()), (0, 0));
+        assert_eq!(*acc.ops(), ops, "the reset charges nothing, as the readout does not");
     }
 
     #[test]

@@ -6,13 +6,22 @@
 //! threshold "to 1"). Regions fragmented in the full-resolution image merge
 //! in the coarse histograms — the paper's answer to big vehicles whose flat
 //! sides generate few events.
+//!
+//! [`Histogram::project_blocks`] builds both projections straight from
+//! the binary image with the downsampling band kernel, never forming the
+//! count image: each non-empty cell part adds to one `H_X` and one `H_Y`
+//! bin, and empty cells are skipped. [`Histogram::project`] projects an
+//! existing [`CountImage`] (CCA mode, Fig. 3).
 
 use ebbiot_events::OpsCounter;
 
-use crate::CountImage;
+use crate::{
+    downsample::{cell_grid, for_each_cell_count},
+    BinaryImage, CountImage,
+};
 
 /// A 1-D projection histogram over one axis of a [`CountImage`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     bins: Vec<u32>,
 }
@@ -55,6 +64,40 @@ impl Histogram {
         Self { bins }
     }
 
+    /// Projects the `(s1, s2)` block sums of `image` onto both axes into
+    /// `hx` (`ceil(A / s1)` bins) and `hy` (`ceil(B / s2)` bins), reusing
+    /// their storage — the same bins as [`CountImage::downsample`]
+    /// followed by [`Self::project`] on each axis, without the count
+    /// image. Charges the ops of that sequence: one addition per input
+    /// pixel and one write per cell (the downsample), then one addition
+    /// per cell and one write per bin on each axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either factor is zero or exceeds the image dimension.
+    pub fn project_blocks(
+        image: &BinaryImage,
+        s1: u16,
+        s2: u16,
+        hx: &mut Self,
+        hy: &mut Self,
+        ops: &mut OpsCounter,
+    ) {
+        let (width, height) = cell_grid(image, s1, s2);
+        hx.bins.clear();
+        hx.bins.resize(usize::from(width), 0);
+        hy.bins.clear();
+        hy.bins.resize(usize::from(height), 0);
+        let (bx, by) = (&mut hx.bins, &mut hy.bins);
+        for_each_cell_count(image, s1, s2, |i, j, n| {
+            bx[i] += n;
+            by[j] += n;
+        });
+        let cells = u64::from(width) * u64::from(height);
+        ops.add(image.geometry().num_pixels() as u64 + 2 * cells);
+        ops.write(cells + u64::from(width) + u64::from(height));
+    }
+
     /// Builds a histogram directly from bin values (for tests and tools).
     #[must_use]
     pub fn from_bins(bins: Vec<u32>) -> Self {
@@ -92,6 +135,14 @@ impl Histogram {
     #[must_use]
     pub fn runs_at_least(&self, threshold: u32, ops: &mut OpsCounter) -> Vec<Run> {
         let mut runs = Vec::new();
+        self.runs_into(threshold, &mut runs, ops);
+        runs
+    }
+
+    /// [`Self::runs_at_least`] into a reused list: `runs` is cleared,
+    /// then receives the runs in ascending order.
+    pub fn runs_into(&self, threshold: u32, runs: &mut Vec<Run>, ops: &mut OpsCounter) {
+        runs.clear();
         let mut start: Option<usize> = None;
         for (i, &v) in self.bins.iter().enumerate() {
             ops.compare(1);
@@ -106,7 +157,6 @@ impl Histogram {
         if let Some(s) = start {
             runs.push(Run { start: s, end: self.bins.len() });
         }
-        runs
     }
 
     /// ASCII sparkline (`0-9`, `+` for >= 10) for debugging and Fig. 3.

@@ -1,7 +1,8 @@
 //! Scalar per-pixel reference implementations of the hot frame kernels.
 //!
 //! The production kernels ([`crate::MedianFilter`], [`CountImage::downsample`],
-//! [`BinaryImage::count_in_box`] and friends) run word-parallel over the
+//! [`Histogram::project_blocks`], [`BinaryImage::count_in_box`] and
+//! friends) run word-parallel over the
 //! row-aligned bit layout. This module keeps the straightforward
 //! one-pixel-at-a-time transcriptions those kernels replaced, so the
 //! kernel-parity proptests can prove the optimized paths bit-exact (and
@@ -15,7 +16,7 @@
 
 use ebbiot_events::OpsCounter;
 
-use crate::{BinaryImage, CountImage, PixelBox};
+use crate::{BinaryImage, CountImage, Histogram, PixelBox};
 
 /// Scalar `p x p` binary median with zero padding — the reference for
 /// [`crate::MedianFilter::apply_into`]. Charges the same Eq. 1 op counts: one
@@ -95,6 +96,74 @@ pub fn downsample(input: &BinaryImage, s1: u16, s2: u16, ops: &mut OpsCounter) -
         }
     }
     CountImage::from_raw(width, height, data, s1, s2)
+}
+
+/// Scalar `H_X`/`H_Y` of the `(s1, s2)` block sums — the reference for
+/// [`Histogram::project_blocks`]. Walks every cell's pixels as
+/// [`downsample`] does and adds each block sum to its column and row
+/// bin. Charges what downsampling and projecting both axes charge: per
+/// cell, one addition per pixel, one write and one addition per axis;
+/// then one write per bin.
+///
+/// # Panics
+///
+/// Panics when either factor is zero or exceeds the image dimension.
+#[must_use]
+pub fn project(
+    input: &BinaryImage,
+    s1: u16,
+    s2: u16,
+    ops: &mut OpsCounter,
+) -> (Histogram, Histogram) {
+    assert!(s1 > 0 && s2 > 0, "scale factors must be non-zero");
+    assert!(s1 <= input.width() && s2 <= input.height(), "scale factors larger than the image");
+    let width = input.width().div_ceil(s1);
+    let height = input.height().div_ceil(s2);
+    let mut hx = vec![0u32; width as usize];
+    let mut hy = vec![0u32; height as usize];
+    for j in 0..height {
+        let y0 = j * s2;
+        let y1 = (u32::from(y0) + u32::from(s2)).min(u32::from(input.height())) as u16;
+        for i in 0..width {
+            let x0 = i * s1;
+            let x1 = (u32::from(x0) + u32::from(s1)).min(u32::from(input.width())) as u16;
+            let mut sum = 0u32;
+            for y in y0..y1 {
+                for x in x0..x1 {
+                    if input.get(x, y) {
+                        sum += 1;
+                    }
+                }
+            }
+            ops.add(u64::from(x1 - x0) * u64::from(y1 - y0) + 2);
+            ops.write(1);
+            hx[i as usize] += sum;
+            hy[j as usize] += sum;
+        }
+    }
+    ops.write(u64::from(width) + u64::from(height));
+    (Histogram::from_bins(hx), Histogram::from_bins(hy))
+}
+
+/// Scalar bounding box of the set pixels in a box — the reference for
+/// [`BinaryImage::set_bounds_in`] (exclusive max corner, clipped to the
+/// array).
+#[must_use]
+pub fn set_bounds_in(image: &BinaryImage, b: &PixelBox) -> Option<PixelBox> {
+    let x_end = b.x_max.min(image.width());
+    let y_end = b.y_max.min(image.height());
+    let mut bounds: Option<PixelBox> = None;
+    for y in b.y_min..y_end {
+        for x in b.x_min..x_end {
+            if image.get(x, y) {
+                match &mut bounds {
+                    None => bounds = Some(PixelBox::single(x, y)),
+                    Some(p) => p.include(x, y),
+                }
+            }
+        }
+    }
+    bounds
 }
 
 /// Scalar box count — the reference for [`BinaryImage::count_in_box`]

@@ -7,12 +7,21 @@
 //! tail-bit invariant (`BinaryImage::tail_bits_zero`).
 
 use ebbiot_events::{OpsCounter, SensorGeometry};
-use ebbiot_frame::{reference, BinaryImage, CountImage, MedianFilter, PixelBox};
+use ebbiot_frame::{reference, BinaryImage, CountImage, Histogram, MedianFilter, PixelBox};
 use proptest::prelude::*;
 
 /// Geometries that stress the layout: non-word-multiple widths, exact
-/// word widths, the paper sensors, and degenerate 1-pixel frames.
-const GEOMS: [(u16, u16); 7] = [(17, 5), (64, 4), (65, 3), (1, 1), (1, 9), (130, 7), (346, 13)];
+/// word widths, the paper sensors, degenerate 1-pixel frames, and
+/// frames tall enough for 17-row bands (five count planes).
+const GEOMS: [(u16, u16); 9] =
+    [(17, 5), (64, 4), (65, 3), (1, 1), (1, 9), (130, 7), (346, 13), (131, 35), (200, 18)];
+
+/// Downsampling factors: every small block, blocks one short of, equal
+/// to and one past a word, and blocks spanning three words.
+const S1: [u16; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 130];
+/// Band heights: every small band, and bands needing four (15) or five
+/// (16, 17) count planes.
+const S2: [u16; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17];
 
 /// A generated frame: geometry index, pixel seeds (mapped into bounds by
 /// modulo), and a fill mode (0 = sparse, 1 = all ones, 2 = all zeros).
@@ -41,7 +50,54 @@ fn arb_pixel_box() -> impl Strategy<Value = PixelBox> {
         .prop_map(|(x0, y0, x1, y1)| PixelBox::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1)))
 }
 
+/// Every factor pair on every geometry, over full and dense frames, so
+/// that carries into every count plane (a 17-row band of ones counts
+/// 17 = 0b10001) and every block width are exercised on each run, not
+/// just on the cases proptest happens to draw.
+#[test]
+fn downsample_and_projections_match_reference_for_every_factor_pair() {
+    for (w, h) in GEOMS {
+        let geom = SensorGeometry::new(w, h);
+        let mut full = BinaryImage::new(geom);
+        full.fill_box(&PixelBox::new(0, 0, w, h));
+        let mut dense = BinaryImage::new(geom);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for y in 0..h {
+            for x in 0..w {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state & 3 != 0 {
+                    dense.set(x, y, true);
+                }
+            }
+        }
+        for img in [&full, &dense] {
+            for s1 in S1.map(|s| s.min(w)) {
+                for s2 in S2.map(|s| s.min(h)) {
+                    let mut ref_ops = OpsCounter::new();
+                    let expected = reference::downsample(img, s1, s2, &mut ref_ops);
+                    let mut ops = OpsCounter::new();
+                    let got = CountImage::downsample(img, s1, s2, &mut ops);
+                    assert_eq!(got, expected, "downsample {s1}x{s2} on {geom}");
+                    assert_eq!(ops, ref_ops, "downsample ops {s1}x{s2} on {geom}");
+
+                    let mut ref_ops = OpsCounter::new();
+                    let (ref_hx, ref_hy) = reference::project(img, s1, s2, &mut ref_ops);
+                    let (mut hx, mut hy) = (Histogram::default(), Histogram::default());
+                    let mut ops = OpsCounter::new();
+                    Histogram::project_blocks(img, s1, s2, &mut hx, &mut hy, &mut ops);
+                    assert_eq!((hx, hy), (ref_hx, ref_hy), "projections {s1}x{s2} on {geom}");
+                    assert_eq!(ops, ref_ops, "projection ops {s1}x{s2} on {geom}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     #[test]
     fn median_matches_reference_for_all_patch_sizes((img, geom) in arb_frame(), p_idx in 0usize..3) {
         let p = [1u16, 3, 5][p_idx];
@@ -56,9 +112,13 @@ proptest! {
     }
 
     #[test]
-    fn downsample_matches_reference((img, geom) in arb_frame(), s1 in 1u16..9, s2 in 1u16..9) {
-        let s1 = s1.min(geom.width());
-        let s2 = s2.min(geom.height());
+    fn downsample_matches_reference(
+        (img, geom) in arb_frame(),
+        s1 in 0..S1.len(),
+        s2 in 0..S2.len(),
+    ) {
+        let s1 = S1[s1].min(geom.width());
+        let s2 = S2[s2].min(geom.height());
         let mut ref_ops = OpsCounter::new();
         let expected = reference::downsample(&img, s1, s2, &mut ref_ops);
         let mut ops = OpsCounter::new();
@@ -67,6 +127,33 @@ proptest! {
         prop_assert_eq!(ops, ref_ops, "downsample op accounting {}x{} on {}", s1, s2, geom);
         // Partial edge cells mean mass is conserved unconditionally.
         prop_assert_eq!(got.total(), img.count_ones() as u64);
+    }
+
+    #[test]
+    fn projections_match_reference(
+        (img, geom) in arb_frame(),
+        s1 in 0..S1.len(),
+        s2 in 0..S2.len(),
+    ) {
+        let s1 = S1[s1].min(geom.width());
+        let s2 = S2[s2].min(geom.height());
+        let mut ref_ops = OpsCounter::new();
+        let (ref_hx, ref_hy) = reference::project(&img, s1, s2, &mut ref_ops);
+        // Scratch histograms carrying bins of another size must be reset.
+        let mut hx = Histogram::from_bins(vec![7; 3]);
+        let mut hy = Histogram::default();
+        let mut ops = OpsCounter::new();
+        Histogram::project_blocks(&img, s1, s2, &mut hx, &mut hy, &mut ops);
+        prop_assert_eq!(&hx, &ref_hx, "H_X {}x{} on {}", s1, s2, geom);
+        prop_assert_eq!(&hy, &ref_hy, "H_Y {}x{} on {}", s1, s2, geom);
+        prop_assert_eq!(ops, ref_ops, "projection op accounting {}x{} on {}", s1, s2, geom);
+        prop_assert_eq!(hx.total(), img.count_ones() as u64);
+        prop_assert_eq!(hy.total(), img.count_ones() as u64);
+    }
+
+    #[test]
+    fn set_bounds_match_reference((img, _geom) in arb_frame(), b in arb_pixel_box()) {
+        prop_assert_eq!(img.set_bounds_in(&b), reference::set_bounds_in(&img, &b), "{:?}", b);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 # invariants internally: engine == sequential (exp_fleet), TCP ingestion
 # == in-process run_fleet (exp_server), disk replay == in-memory plus
 # EBST compression > EAER (exp_replay), word-parallel kernel parity
-# plus the >= 3x median speedup floor (exp_hotpath), the
+# plus the >= 3x median and downsample speedup floors (exp_hotpath), the
 # scenario-matrix accuracy floors (exp_accuracy), and bit-exact EBSS
 # checkpoint resume plus the crash-recovery drill (exp_checkpoint). A
 # final

@@ -36,7 +36,7 @@ fn monolithic_ebbiot(config: &EbbiotConfig, events: &[Event], span_us: Micros) -
             let ebbi = accumulator.readout();
             let filtered = median.apply(&ebbi);
             let raw = rpn.propose(&filtered);
-            let proposals = config.roe.filter(&raw, &mut roe_ops);
+            let proposals = config.roe.filter(raw, &mut roe_ops);
             let confirmed = tracker.step(&proposals);
             FrameResult {
                 index: w.index,
@@ -78,7 +78,7 @@ fn monolithic_ebbi_kf(
             let ebbi = accumulator.readout();
             let filtered = median.apply(&ebbi);
             let raw = rpn.propose(&filtered);
-            let proposals = config.roe.filter(&raw, &mut roe_ops);
+            let proposals = config.roe.filter(raw, &mut roe_ops);
             let outputs = tracker.step(&proposals);
             FrameResult {
                 index: w.index,
